@@ -37,7 +37,7 @@ bench-kernels:
 bench-paper:
 	$(PYTHON) -m pytest benchmarks -q
 
-# execution-backend scaling sweep (serial/thread/process × workers),
+# execution-backend scaling sweep (serial/process × workers),
 # diffed structurally against the committed document (wall times are
 # machine-dependent and not compared)
 bench-scale:

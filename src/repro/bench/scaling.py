@@ -1,17 +1,17 @@
 """Backend scaling sweep for ``a4nn bench --scaling``.
 
 Runs the same fully-seeded real-mode mini search on every execution
-backend × worker-count combination (serial, thread × {1,2,4},
-process × {1,2,4}), plus steady-state evolution points sharing one
-pinned breeding lag, and reports, per entry:
+backend × worker-count combination (serial, process × {1,2,4}), plus
+steady-state evolution points sharing one pinned breeding lag, and
+reports, per entry:
 
 * the end-to-end wall time (machine-dependent — recorded for context,
   never compared);
 * the structural outcome (models evaluated, best fitness, epochs
   trained), which must be **identical across every entry** — the sweep
   doubles as a determinism check for the process backend;
-* the measured :class:`~repro.scheduler.pool.PoolReport` per
-  generation: per-worker busy seconds, utilization, and the
+* for process entries, the measured :class:`~repro.scheduler.pool.
+  PoolReport` per generation: per-worker busy seconds, utilization, and the
   generation-boundary *barrier downtime* each worker spends waiting for
   the stragglers — the sweep population (5) is deliberately not
   divisible by 2 or 4, so the barrier cost is visible at every
@@ -23,8 +23,7 @@ pinned breeding lag, and reports, per entry:
 
 The committed ``BENCH_scaling.json`` records one run of this sweep;
 ``make bench-scale`` re-runs it and diffs the structural fields.  A note
-on reading the wall times: thread workers only overlap NumPy's
-GIL-releasing kernels and process workers need real cores, so on a
+on reading the wall times: process workers need real cores, so on a
 single-core host *every* multi-worker configuration is expected to be
 no faster (process workers additionally pay a spawn + import cost).
 The sweep measures the machinery honestly rather than proving a
@@ -69,15 +68,10 @@ STEADY_LAG = 4
 #: (backend, n_workers, evolution) points the sweep measures, in order.
 SCALING_GRID = (
     ("serial", 1, "barrier"),
-    ("thread", 1, "barrier"),
-    ("thread", 2, "barrier"),
-    ("thread", 4, "barrier"),
     ("process", 1, "barrier"),
     ("process", 2, "barrier"),
     ("process", 4, "barrier"),
     ("serial", 1, "steady"),
-    ("thread", 2, "steady"),
-    ("thread", 4, "steady"),
     ("process", 4, "steady"),
 )
 
@@ -153,8 +147,8 @@ def _run_entry(
         )
         entry["final_drain_seconds"] = sum(reports[-1].barrier_downtime())
     else:
-        # thread backend at n_workers=1 runs the legacy inline loop with
-        # no pool behind it, so there is nothing to report per worker
+        # the serial backend runs the search's own loop with no pool
+        # behind it, so there is nothing to report per worker
         entry["note"] = "inline serial loop (no pool report)"
     return entry
 

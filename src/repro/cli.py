@@ -240,16 +240,16 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
-        help="generation-execution backend: 'serial' (inline loop), "
-        "'thread' (FIFO thread pool; default), or 'process' (spawned "
-        "workers sharing the dataset through shared memory, with "
-        "hard-kill timeouts)",
+        choices=["serial", "process"],
+        help="generation-execution backend: 'serial' (the search's own "
+        "in-process loop; default) or 'process' (spawned workers sharing "
+        "the dataset through shared memory, with hard-kill timeouts)",
     )
     parser.add_argument(
         "--n-workers",
         type=int,
-        help="concurrent evaluations per generation (default 1)",
+        help="concurrent evaluations: worker processes of --backend process "
+        "(default 1; more than 1 requires --backend process)",
     )
     parser.add_argument(
         "--surrogate",
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scaling",
         action="store_true",
         help="run the execution-backend scaling sweep instead "
-        "(serial/thread/process × worker counts; BENCH_scaling.json)",
+        "(serial/process × worker counts; BENCH_scaling.json)",
     )
     bench_parser.add_argument(
         "--check",

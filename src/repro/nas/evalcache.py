@@ -27,8 +27,8 @@ evaluate_generation` partitions each generation *before* dispatching —
 the first individual carrying a given key becomes the leader and is
 evaluated; later ones are followers and take the hit after the leaders
 settle.  Hit/miss assignment therefore depends only on submission
-order, never on thread timing, so ``n_workers=1`` and ``n_workers=N``
-produce identical record trails.
+order, never on worker timing, so the serial loop and a process pool of
+any size produce identical record trails.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class MemoizingEvaluator:
     cache:
         Shared :class:`EvaluationCache`; a fresh one by default.
     executor:
-        Inner generation executor (e.g. ``FifoWorkerPool(self).
-        evaluate_generation``) used by :meth:`evaluate_generation`; a
+        Inner generation executor (the process pool's
+        ``evaluate_generation``) used by :meth:`evaluate_generation`; a
         serial loop over :meth:`evaluate` by default.
     """
 
@@ -341,7 +341,8 @@ class MemoizingStream:
     """Streaming (steady-state) face of the evaluation cache.
 
     Satisfies the :class:`~repro.nas.search.EvalStream` seam by wrapping
-    an inner stream (a worker pool).  Hit/miss assignment happens at
+    an inner stream (:class:`~repro.nas.search.InlineStream` or the
+    process pool).  Hit/miss assignment happens at
     ``submit`` — in steady mode a deterministic logical-clock event —
     and priming at ``on_commit``, the point where results re-enter
     submission order.  Both are driven by the search loop, never by
@@ -369,8 +370,8 @@ class MemoizingStream:
                 return
             memoizer.cache.record_miss()
             # register the trace now so the capture observer collects the
-            # per-epoch events of this in-flight evaluation (thread
-            # backends capture live; the process pool captures during its
+            # per-epoch events of this in-flight evaluation (the inline
+            # stream captures live; the process pool captures during its
             # parent-side observer replay)
             with memoizer._trace_lock:
                 memoizer._traces[individual.model_id] = []

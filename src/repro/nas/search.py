@@ -42,6 +42,7 @@ __all__ = [
     "SearchState",
     "NSGANet",
     "EvalStream",
+    "InlineStream",
     "steady_insert",
 ]
 
@@ -73,8 +74,12 @@ class EvalStream(Protocol):
     def finish(self) -> None: ...
 
 
-class _InlineStream:
-    """Serial fallback stream: evaluates lazily, in submission order."""
+class InlineStream:
+    """The serial backend's stream: evaluates on the search's own thread.
+
+    Nothing runs at :meth:`submit`; :meth:`settled` evaluates the oldest
+    queued candidate, so results settle in submission order.
+    """
 
     def __init__(self, evaluator: Evaluator) -> None:
         self._evaluator = evaluator
@@ -353,12 +358,12 @@ class NSGANet:
     executor:
         Optional generation executor ``executor(individuals) ->
         individuals`` that runs a whole generation's evaluations (e.g.
-        :class:`~repro.scheduler.pool.FifoWorkerPool` for real parallel
-        hardware).  Defaults to serial evaluation through ``evaluator``.
-        Barrier mode only.
+        :class:`~repro.scheduler.procpool.ProcessWorkerPool` for real
+        parallel hardware).  Defaults to serial evaluation through
+        ``evaluator``.  Barrier mode only.
     stream:
         Optional :class:`EvalStream` used by steady-state mode.
-        Defaults to an inline serial stream over ``evaluator``.
+        Defaults to an :class:`InlineStream` over ``evaluator``.
     """
 
     def __init__(
@@ -541,7 +546,7 @@ class NSGANet:
         per_generation = config.offspring_per_generation
         total = config.total_evaluations
         lag = config.steady_lag or 1
-        stream = self.stream if self.stream is not None else _InlineStream(self.evaluator)
+        stream = self.stream if self.stream is not None else InlineStream(self.evaluator)
 
         pending: dict[int, Individual] = {}
         chunk: list[Individual] = []

@@ -3,10 +3,10 @@
 FIFO dynamic scheduling of per-network training jobs onto accelerators
 (paper §2.5), in two forms: a deterministic discrete-event simulator
 that replays recorded epoch durations on an N-GPU pool
-(:mod:`repro.scheduler.simulator`), and real worker pools for machines
-with actual parallelism — threads (:mod:`repro.scheduler.pool`) or
-spawned processes with a shared-memory dataset and hard-kill timeouts
-(:mod:`repro.scheduler.procpool`).  The
+(:mod:`repro.scheduler.simulator`), and a real worker pool for machines
+with actual parallelism — spawned processes with a shared-memory
+dataset and hard-kill timeouts (:mod:`repro.scheduler.procpool`), whose
+measured timings :mod:`repro.scheduler.pool` records.  The
 FLOPs→seconds cost model (:mod:`repro.scheduler.costmodel`) calibrates
 simulated epoch durations to the paper's single-V100 wall times.
 """
@@ -28,7 +28,7 @@ from repro.scheduler.fifo import (
     schedule_generation,
     schedule_run,
 )
-from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
+from repro.scheduler.pool import JobTiming, PoolReport
 from repro.scheduler.procpool import (
     EvalResult,
     EvalSpec,
@@ -59,10 +59,8 @@ __all__ = [
     "ScheduleResult",
     "schedule_generation",
     "schedule_run",
-    "FifoWorkerPool",
     "JobTiming",
     "PoolReport",
-    "WorkerPool",
     "EvalResult",
     "EvalSpec",
     "EvalTask",

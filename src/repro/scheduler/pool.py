@@ -1,45 +1,20 @@
-"""Real concurrent execution of a generation's evaluations.
+"""Measured timings of a generation executed on a worker pool.
 
 The discrete-event simulator (:mod:`repro.scheduler.simulator`) answers
-"what would this schedule cost on N GPUs"; this module actually *runs*
-evaluations concurrently on N workers with the same FIFO-within-a-
-generation policy, for users with real parallel hardware.  Worker
-threads stand in for accelerators: each evaluation occupies one worker
-from start to finish, and the generation boundary is a barrier, exactly
-like the simulated policy.
-
-NumPy releases the GIL inside its kernels, so thread workers give real
-overlap for the BLAS-heavy training inner loops; the pure-Python parts
-of the loop (im2col indexing, optimizer steps, engine fits) still
-serialize.  :class:`~repro.scheduler.procpool.ProcessWorkerPool` is the
-drop-in sibling that sidesteps the GIL entirely — both implement the
-:class:`WorkerPool` protocol and record the same enriched
-:class:`PoolReport` (per-job start/end timestamps, per-worker busy
-seconds), so barrier downtime is computable for every backend.
-
-Failure semantics are identical for the serial (``n_workers == 1``) and
-threaded paths: every job in the generation settles before any error
-propagates, a single error re-raises as itself, and multiple errors
-raise an :class:`ExceptionGroup` carrying all of them.  Give the pool a
-:class:`~repro.scheduler.faults.FaultPolicy` to stop evaluation errors
-from propagating at all: faulty candidates are then retried and, if
-unrecoverable, quarantined with penalized objectives.
+"what would this schedule cost on N GPUs"; the process backend
+(:class:`~repro.scheduler.procpool.ProcessWorkerPool`) actually *runs*
+evaluations concurrently and records what happened in the types below:
+per-job start/end timestamps against the generation clock and
+per-worker busy seconds, from which utilization and the paper's
+generation-boundary barrier downtime follow.  :mod:`repro.scheduler.
+trace` renders them as text lanes or Chrome trace JSON.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
 
-from repro.nas.evaluation import Evaluator
-from repro.nas.population import Individual
-from repro.scheduler.faults import FaultPolicy, FaultTolerantEvaluator
-from repro.utils.timing import Stopwatch
-
-__all__ = ["JobTiming", "PoolReport", "WorkerPool", "FifoWorkerPool"]
+__all__ = ["JobTiming", "PoolReport"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +22,8 @@ class JobTiming:
     """Measured placement of one evaluation on one worker.
 
     Timestamps are seconds relative to the generation's dispatch start,
-    so timings from different backends are directly comparable.  A job
-    that was retried keeps one timing spanning every attempt (the worker
+    so timings from different generations are directly comparable.  A
+    job that was retried keeps one timing spanning every attempt (the worker
     slot was occupied the whole time, as on a real accelerator).
     """
 
@@ -83,7 +58,7 @@ class PoolReport:
     n_jobs:
         Evaluations submitted.
     backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        The backend that ran the generation (``"process"``).
     jobs:
         Per-job :class:`JobTiming` entries in submission order.
     worker_busy_seconds:
@@ -93,7 +68,7 @@ class PoolReport:
     n_workers: int
     wall_seconds: float
     n_jobs: int
-    backend: str = "thread"
+    backend: str = "process"
     jobs: tuple = ()
     worker_busy_seconds: tuple = ()
 
@@ -150,224 +125,3 @@ class PoolReport:
             "idle_workers": self.idle_workers,
             "utilization": self.utilization,
         }
-
-
-@runtime_checkable
-class WorkerPool(Protocol):
-    """What the orchestrator requires of a generation executor backend.
-
-    Pools additionally expose the streaming seam used by steady-state
-    evolution — ``submit`` / ``settled`` / ``finish`` — next to the batch
-    ``evaluate_generation`` entry point; see
-    :class:`~repro.nas.search.EvalStream`.
-    """
-
-    n_workers: int
-    reports: list
-
-    def evaluate_generation(self, individuals: list) -> list:
-        """Run one generation's evaluations; blocks until all settle."""
-
-    def close(self) -> None:
-        """Release worker resources (idempotent)."""
-
-
-class FifoWorkerPool:
-    """FIFO generation executor over ``n_workers`` parallel worker threads.
-
-    Parameters
-    ----------
-    evaluator:
-        Backend whose ``evaluate`` runs one individual to completion.
-    n_workers:
-        Concurrent evaluations (the paper's GPU count).
-    policy:
-        Optional :class:`~repro.scheduler.faults.FaultPolicy`; when
-        given, the evaluator is wrapped in a
-        :class:`~repro.scheduler.faults.FaultTolerantEvaluator` (unless
-        it already is one), so evaluation faults quarantine individual
-        candidates instead of failing the generation.
-    on_fault_event:
-        Forwarded to the fault-tolerant wrapper when ``policy`` is given
-        (lineage hook).
-
-    Notes
-    -----
-    Submission order is preserved (FIFO): job *i* starts no later than
-    job *i+1*.  ``ThreadPoolExecutor`` guarantees this for a fixed
-    worker count because its work queue is FIFO.
-    """
-
-    backend = "thread"
-
-    def __init__(
-        self,
-        evaluator: Evaluator,
-        n_workers: int = 1,
-        *,
-        policy: FaultPolicy | None = None,
-        on_fault_event=None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if policy is not None and not isinstance(evaluator, FaultTolerantEvaluator):
-            evaluator = FaultTolerantEvaluator(
-                evaluator, policy, on_event=on_fault_event
-            )
-        self.evaluator = evaluator
-        self.n_workers = int(n_workers)
-        self.reports: list[PoolReport] = []
-        self._stream: _ThreadStreamState | None = None
-
-    def _run_job(
-        self,
-        individual: Individual,
-        clock: Stopwatch,
-        timings: list,
-        slots: dict,
-        busy: list,
-        lock: threading.Lock,
-    ) -> None:
-        """Evaluate one individual, timing it against the generation clock."""
-        with lock:
-            worker = slots.setdefault(threading.get_ident(), len(slots))
-        start = clock.elapsed()
-        try:
-            self.evaluator.evaluate(individual)
-        finally:
-            end = clock.elapsed()
-            with lock:
-                timings.append(JobTiming(individual.model_id, worker, start, end))
-                busy[worker] += end - start
-
-    def evaluate_generation(self, individuals: list[Individual]) -> list[Individual]:
-        """Evaluate one generation concurrently; blocks until all finish.
-
-        Every job settles before any exception propagates — a failure in
-        job *i* never prevents jobs *i+1..n* from being evaluated.  One
-        error re-raises as itself; several raise an ``ExceptionGroup``.
-        """
-        clock = Stopwatch().start()
-        errors: list[Exception] = []
-        timings: list[JobTiming] = []
-        slots: dict[int, int] = {}
-        busy = [0.0] * self.n_workers
-        lock = threading.Lock()
-        if self.n_workers == 1:
-            for individual in individuals:
-                try:
-                    self._run_job(individual, clock, timings, slots, busy, lock)
-                except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: collected and re-raised after the generation settles
-                    errors.append(exc)
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as executor:
-                futures = [
-                    executor.submit(
-                        self._run_job, individual, clock, timings, slots, busy, lock
-                    )
-                    for individual in individuals
-                ]
-                for future in futures:
-                    try:
-                        future.result()
-                    except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: collected and re-raised after the generation settles
-                        errors.append(exc)
-        clock.stop()
-        order = {ind.model_id: i for i, ind in enumerate(individuals)}
-        self.reports.append(
-            PoolReport(
-                n_workers=self.n_workers,
-                wall_seconds=clock.total,
-                n_jobs=len(individuals),
-                backend="serial" if self.n_workers == 1 else "thread",
-                jobs=tuple(
-                    sorted(timings, key=lambda t: order.get(t.job_id, len(order)))
-                ),
-                worker_busy_seconds=tuple(busy),
-            )
-        )
-        if len(errors) == 1:
-            raise errors[0]
-        if errors:
-            raise ExceptionGroup(
-                f"{len(errors)} of {len(individuals)} evaluations failed", errors
-            )
-        return individuals
-
-    # -- streaming seam (steady-state evolution) ---------------------------
-
-    def submit(self, individual: Individual) -> None:
-        """Queue one evaluation on the stream (FIFO dispatch order)."""
-        if self._stream is None:
-            self._stream = _ThreadStreamState(self.n_workers)
-        state = self._stream
-        state.n_submitted += 1
-
-        def task(ind: Individual = individual) -> None:
-            error: Exception | None = None
-            try:
-                self._run_job(
-                    ind, state.clock, state.timings, state.slots, state.busy, state.lock
-                )
-            except Exception as exc:  # a4nn: noqa(NUM001) -- not swallowed: handed to the consumer through settled()
-                error = exc
-            state.results.put((ind, error))
-
-        state.executor.submit(task)
-
-    def settled(self) -> Individual:
-        """Block for the next completed evaluation, in any order."""
-        state = self._stream
-        if state is None or state.n_settled >= state.n_submitted:
-            raise RuntimeError("no evaluations in flight")
-        individual, error = state.results.get()
-        state.n_settled += 1
-        if error is not None:
-            raise error
-        return individual
-
-    def on_commit(self, individual: Individual) -> None:
-        """Nothing to do: the pool holds no commit-ordered state."""
-
-    def finish(self) -> PoolReport | None:
-        """Close the stream and record one report covering the whole run."""
-        state = self._stream
-        if state is None:
-            return None
-        self._stream = None
-        state.executor.shutdown(wait=True)
-        state.clock.stop()
-        report = PoolReport(
-            n_workers=self.n_workers,
-            wall_seconds=state.clock.total,
-            n_jobs=state.n_submitted,
-            backend="serial" if self.n_workers == 1 else "thread",
-            jobs=tuple(sorted(state.timings, key=lambda t: t.job_id)),
-            worker_busy_seconds=tuple(state.busy),
-        )
-        self.reports.append(report)
-        return report
-
-    def close(self) -> None:
-        """Release stream workers; thread workers hold nothing else."""
-        self.finish()
-
-    @property
-    def total_wall_seconds(self) -> float:
-        """Measured wall time across all generations run so far."""
-        return sum(r.wall_seconds for r in self.reports)
-
-
-class _ThreadStreamState:
-    """Mutable bookkeeping of one open :meth:`FifoWorkerPool.submit` stream."""
-
-    def __init__(self, n_workers: int) -> None:
-        self.executor = ThreadPoolExecutor(max_workers=n_workers)
-        self.clock = Stopwatch().start()
-        self.results: queue.Queue = queue.Queue()
-        self.timings: list[JobTiming] = []
-        self.slots: dict[int, int] = {}
-        self.busy = [0.0] * n_workers
-        self.lock = threading.Lock()
-        self.n_submitted = 0
-        self.n_settled = 0

@@ -1,10 +1,8 @@
 """Process-parallel generation executor with hard-kill timeouts.
 
-:class:`ProcessWorkerPool` is the drop-in sibling of
-:class:`~repro.scheduler.pool.FifoWorkerPool` behind the same
-:class:`~repro.scheduler.pool.WorkerPool` protocol, backed by
-``spawn``-context worker *processes* instead of threads.  The thread
-pool only overlaps the GIL-releasing BLAS kernels; worker processes run
+:class:`ProcessWorkerPool` runs a generation's evaluations on
+``spawn``-context worker *processes*, the ``process`` execution backend
+(``serial`` is the search's own in-process loop).  Worker processes run
 the whole Python training loop concurrently, which is what the paper's
 multi-GPU resource manager assumes.
 
@@ -25,13 +23,12 @@ Division of labour (the key to bit-identical results across backends):
   cache through the ``on_result`` hook.
 
 Because attempts run in killable processes, a policy timeout is a *hard
-kill*: the worker is terminated and respawned, so — unlike the
-thread/serial backends, whose abandoned shadow threads keep computing —
-a hung evaluation is truly reclaimed (``FaultEvent.timeout_leaked`` is
-always ``False`` here; see DESIGN §8).  Failure settling matches the
-thread path exactly: every job in the generation settles before any
-error propagates, one error re-raises as itself, several raise an
-``ExceptionGroup``.  Submission order is FIFO: job *i* is dispatched no
+kill*: the worker is terminated and respawned, so — unlike the serial
+backend, whose abandoned shadow threads keep computing — a hung
+evaluation is truly reclaimed (``FaultEvent.timeout_leaked`` is always
+``False`` here; see DESIGN §8).  Failures settle per generation: every
+job settles before any error propagates, one error re-raises as itself,
+several raise an ``ExceptionGroup``.  Submission order is FIFO: job *i* is dispatched no
 later than job *i+1*, and a retry goes to the *front* of the queue,
 mirroring the serial path's finish-this-candidate-first behaviour.
 """
@@ -357,7 +354,7 @@ class ProcessWorkerPool:
         that timeouts terminate-and-respawn the worker (hard kill).
     on_fault_event:
         Callback ``(individual, event_dict)`` per fault decision
-        (lineage hook, as on the thread pool's wrapper).
+        (lineage hook, as on the serial path's wrapper).
     observers:
         Per-epoch observers the parent replays each result's trace
         through (pass the base evaluator's *live* ``observers`` list).
@@ -700,10 +697,8 @@ class ProcessWorkerPool:
     def evaluate_generation(self, individuals: list[Individual]) -> list[Individual]:
         """Evaluate one generation on the worker processes; blocks until settled.
 
-        Matches :class:`~repro.scheduler.pool.FifoWorkerPool` error
-        semantics: every job settles first, one error re-raises as
-        itself, several raise an ``ExceptionGroup`` (in submission
-        order).  With a :class:`~repro.scheduler.faults.FaultPolicy`,
+        Every job settles first; then one error re-raises as itself and
+        several raise an ``ExceptionGroup`` (in submission order).  With a :class:`~repro.scheduler.faults.FaultPolicy`,
         faults retry/quarantine instead of propagating.
         """
         if self._closed:

@@ -8,7 +8,7 @@ Two renderings of a :class:`~repro.scheduler.fifo.ScheduleResult`:
   event format, so schedules can be inspected interactively.
 
 And the same two for a *measured* :class:`~repro.scheduler.pool.
-PoolReport` from the thread/process worker pools:
+PoolReport` from the process worker pool:
 
 * :func:`pool_timeline` — per-worker text lanes with the
   generation-boundary barrier downtime called out;

@@ -42,14 +42,9 @@ from repro.tooling.rules import BaseRule, dotted_name, register
 
 __all__ = ["WorkerSharedStateRule", "SpecPicklabilityRule", "WORKER_ENTRY_MODULES"]
 
-#: Worker-entry modules (PERF002's scope, as dotted names).  The thread
-#: pool's streaming seam (``scheduler/pool.py``) is included: its worker
-#: tasks run the same evaluator chains concurrently, so module-state
-#: writes reachable from them race across threads exactly as they
-#: diverge across processes.
+#: Worker-entry modules (PERF002's scope, as dotted names).
 WORKER_ENTRY_MODULES = [
     "repro.scheduler.procpool",
-    "repro.scheduler.pool",
     "repro.xfel.shm",
 ]
 
@@ -142,10 +137,9 @@ class WorkerSharedStateRule(BaseRule):
     doc = (
         "no writes to module-level mutable state (`global` rebinds, container "
         "mutations) in any function transitively reachable from the worker-entry "
-        "functions of `scheduler/procpool.py` / `scheduler/pool.py` / "
-        "`xfel/shm.py` — each spawned worker re-imports the module, so such "
-        "state silently diverges per process (and races across the thread "
-        "pool's streaming workers) and breaks replay"
+        "functions of `scheduler/procpool.py` / `xfel/shm.py` — each spawned "
+        "worker re-imports the module, so such state silently diverges per "
+        "process and breaks replay"
     )
 
     def applies_to(self, module: ModuleContext) -> bool:

@@ -24,7 +24,7 @@ from repro.xfel.intensity import BeamIntensity
 __all__ = ["WorkflowConfig"]
 
 _MODES = ("real", "surrogate")
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,15 @@ class WorkflowConfig:
     checkpoint_models:
         Persist per-epoch model state (real mode only).
     n_workers:
-        Concurrent evaluations per generation (real parallel execution
-        via the FIFO worker pool; 1 = serial).
+        Concurrent evaluations: worker processes of the process backend
+        (the serial backend requires 1).
     backend:
-        Generation-execution backend — ``"serial"`` (in-process loop,
-        requires ``n_workers=1``), ``"thread"`` (FIFO thread pool; the
-        default), or ``"process"`` (spawned worker processes sharing the
-        dataset through shared memory; hard-kills timed-out
-        evaluations).  See DESIGN "Execution backends".
+        Generation-execution backend — ``"serial"`` (the search's own
+        in-process loop; the default) or ``"process"`` (spawned worker
+        processes sharing the dataset through shared memory; hard-kills
+        timed-out evaluations).  ``from_dict`` replays documents of the
+        retired ``"thread"`` backend on ``"serial"``.  See DESIGN
+        "Execution backends".
     sanitize:
         Attach the runtime numerical sanitizer to every trained network
         (real mode): non-finite losses/activations/gradients raise
@@ -123,7 +124,7 @@ class WorkflowConfig:
     run_id: str = ""
     checkpoint_models: bool = False
     n_workers: int = 1
-    backend: str = "thread"
+    backend: str = "serial"
     sanitize: bool = False
     sanitize_writes: bool = False
     faults: FaultPolicy | None = None
@@ -143,13 +144,15 @@ class WorkflowConfig:
             )
         if self.backend == "serial" and int(self.n_workers) != 1:
             raise ValidationError(
-                f"backend='serial' requires n_workers=1, got {self.n_workers}"
+                f"n_workers={self.n_workers} needs the process backend "
+                f"(--backend process); backend='serial' runs one evaluation "
+                f"at a time"
             )
         if self.backend == "process" and self.checkpoint_models:
             raise ValidationError(
                 "backend='process' cannot checkpoint per-epoch model state: "
                 "trained networks live in the worker processes and only "
-                "measurements travel back; use the thread or serial backend"
+                "measurements travel back; use the serial backend"
             )
         try:
             object.__setattr__(self, "dtype", dtype_label(self.dtype))
@@ -248,8 +251,18 @@ class WorkflowConfig:
                 dataset_payload["intensity"]
             )
         engine_payload = payload.get("engine")
+        nas = NSGANetConfig(**payload.get("nas", {}))
+        # the retired thread backend (the default of documents that lack
+        # the key) replays on the serial loop; its steady runs defaulted
+        # the lag to the worker count, so pin that before the count drops
+        backend = payload.get("backend", "thread")
+        n_workers = payload.get("n_workers", 1)
+        if backend == "thread":
+            if nas.evolution == "steady" and nas.steady_lag is None:
+                nas = replace(nas, steady_lag=n_workers)
+            backend, n_workers = "serial", 1
         return cls(
-            nas=NSGANetConfig(**payload.get("nas", {})),
+            nas=nas,
             engine=None
             if engine_payload is None
             else EngineConfig(
@@ -264,8 +277,8 @@ class WorkflowConfig:
             seed=payload.get("seed", 42),
             run_id=payload.get("run_id", ""),
             checkpoint_models=payload.get("checkpoint_models", False),
-            n_workers=payload.get("n_workers", 1),
-            backend=payload.get("backend", "thread"),
+            n_workers=n_workers,
+            backend=backend,
             sanitize=payload.get("sanitize", False),
             sanitize_writes=payload.get("sanitize_writes", False),
             faults=FaultPolicy.from_dict(payload["faults"])

@@ -19,10 +19,9 @@ from repro.lineage.records import RunRecord
 from repro.lineage.tracker import LineageTracker
 from repro.nas.evalcache import EvaluationCache, MemoizingEvaluator, MemoizingStream
 from repro.nas.evaluation import TrainingEvaluator
-from repro.nas.search import NSGANet, SearchResult
+from repro.nas.search import InlineStream, NSGANet, SearchResult
 from repro.nas.surrogate import BudgetAllocator, SurrogateEvaluator
 from repro.scheduler.faults import FaultInjectingEvaluator, FaultTolerantEvaluator
-from repro.scheduler.pool import FifoWorkerPool
 from repro.scheduler.procpool import EvalSpec, ProcessWorkerPool
 from repro.scheduler.simulator import WallTimeReport, simulate_walltime
 from repro.utils.logging import get_logger
@@ -112,7 +111,7 @@ class A4NNOrchestrator:
         self.history_store = HistoryStore()
         self.memoizer: MemoizingEvaluator | None = None
         self.allocator: BudgetAllocator | None = None
-        self.pool = None  # WorkerPool behind the executor, when one exists
+        self.pool = None  # ProcessWorkerPool of the process backend
         self.pool_reports: list = []  # PoolReports kept after close_pool()
         self._tracker: LineageTracker | None = None
         self._base = None  # innermost evaluation backend
@@ -255,26 +254,17 @@ class A4NNOrchestrator:
         With the cache active the memoizer partitions each generation
         deterministically (hits/leaders/followers) before dispatching,
         so serial and pooled execution produce identical record trails.
-        Returns ``None`` when the legacy inline loop suffices (thread
-        backend at ``n_workers=1``); any pool built here is kept on
-        ``self.pool`` so callers can read its reports and so
-        :meth:`close_pool` can release it.
+        Returns ``None`` for the serial backend without the cache: the
+        search's own loop evaluates through ``evaluator``.  The process
+        pool built here is kept on ``self.pool`` so callers can read its
+        reports and so :meth:`close_pool` can release it.
         """
-        backend = self.config.backend
-        if backend == "process":
+        if self.config.backend == "process":
             self.pool = self._build_process_pool()
-            if self.memoizer is not None:
-                self.pool.on_result = self.memoizer.register_remote
-                self.memoizer.executor = self.pool.evaluate_generation
-                return self.memoizer.evaluate_generation
-            return self.pool.evaluate_generation
-        if backend == "serial" or self.config.n_workers > 1:
-            inner = self.memoizer if self.memoizer is not None else evaluator
-            self.pool = FifoWorkerPool(inner, n_workers=self.config.n_workers)
-            if self.memoizer is not None:
-                self.memoizer.executor = self.pool.evaluate_generation
-                return self.memoizer.evaluate_generation
-            return self.pool.evaluate_generation
+            if self.memoizer is None:
+                return self.pool.evaluate_generation
+            self.pool.on_result = self.memoizer.register_remote
+            self.memoizer.executor = self.pool.evaluate_generation
         if self.memoizer is not None:
             return self.memoizer.evaluate_generation
         return None
@@ -283,23 +273,27 @@ class A4NNOrchestrator:
         """Streaming evaluation backend for steady-state evolution.
 
         The returned object satisfies the :class:`~repro.nas.search.
-        EvalStream` seam.  With the cache active the pool runs the chain
-        *below* the memoizer and a :class:`~repro.nas.evalcache.
+        EvalStream` seam: the process pool, or for the serial backend an
+        :class:`~repro.nas.search.InlineStream` that evaluates on the
+        search's thread.  With the cache active the inner stream runs the
+        chain *below* the memoizer and a :class:`~repro.nas.evalcache.
         MemoizingStream` resolves hits at submit time and primes at
         commit time — both logical-clock events, so cache behaviour is
-        identical on every backend.  The pool is kept on ``self.pool``
+        identical on both backends.  The pool is kept on ``self.pool``
         so its report survives :meth:`close_pool`.
         """
         if self.config.backend == "process":
             # no on_result hook here: in steady mode the MemoizingStream
             # primes the cache at commit, in logical-clock order
             self.pool = self._build_process_pool()
+            inner = self.pool
         else:
-            inner = self.memoizer.evaluator if self.memoizer is not None else evaluator
-            self.pool = FifoWorkerPool(inner, n_workers=self.config.n_workers)
+            inner = InlineStream(
+                evaluator if self.memoizer is None else self.memoizer.evaluator
+            )
         if self.memoizer is not None:
-            return MemoizingStream(self.memoizer, self.pool)
-        return self.pool
+            return MemoizingStream(self.memoizer, inner)
+        return inner
 
     def effective_nas(self):
         """The NAS settings the run actually uses.
@@ -307,7 +301,9 @@ class A4NNOrchestrator:
         Steady mode with ``steady_lag=None`` pins the lag to the worker
         count — the largest window the pool can keep busy.  Replays
         resolve the same lag from the stored config (it records the
-        original ``n_workers``), so the resolution is reproducible.
+        original ``n_workers``; ``WorkflowConfig.from_dict`` pins the lag
+        of legacy thread-backend documents), so the resolution is
+        reproducible.
         """
         nas = self.config.nas
         if nas.evolution == "steady" and nas.steady_lag is None:
@@ -315,7 +311,7 @@ class A4NNOrchestrator:
         return nas
 
     def close_pool(self) -> None:
-        """Release the executor's worker pool (idempotent; no-op without one).
+        """Release the process pool (idempotent; no-op on the serial backend).
 
         For the process backend this stops every worker and unlinks the
         shared-memory dataset, so it must run even when the search

@@ -24,7 +24,7 @@ from repro.scheduler.faults import (
     FaultTolerantEvaluator,
     InjectedFault,
 )
-from repro.scheduler.pool import FifoWorkerPool
+from repro.scheduler.procpool import EvalSpec, ProcessWorkerPool
 from repro.tooling.sanitizer import NumericalFault
 from repro.utils.rng import RngStream
 from repro.utils.validation import ValidationError
@@ -247,33 +247,63 @@ class TestFaultInjection:
         assert ind.quarantined and ind.fault_events[0]["kind"] == "timeout"
 
 
+class NthFails:
+    """Fails every attempt of the listed model ids."""
+
+    max_epochs = 1
+
+    def __init__(self, failing_ids):
+        self.failing_ids = set(failing_ids)
+
+    def evaluate(self, individual):
+        if individual.model_id in self.failing_ids:
+            raise RuntimeError(f"boom {individual.model_id}")
+        individual.fitness = 50.0
+        individual.flops = 1
+        return individual
+
+
+# module-level factories: spawned pool workers rebuild the evaluator
+def fails_first():
+    return NthFails({0})
+
+
+def fails_pair():
+    return NthFails({1, 3})
+
+
+def fails_middle():
+    return NthFails({2})
+
+
 class TestPoolFailureSemantics:
-    class NthFails:
-        max_epochs = 1
+    """The process pool settles a generation before failing it."""
 
-        def __init__(self, failing_ids):
-            self.failing_ids = set(failing_ids)
+    @pytest.fixture
+    def pool_for(self):
+        pools = []
 
-        def evaluate(self, individual):
-            if individual.model_id in self.failing_ids:
-                raise RuntimeError(f"boom {individual.model_id}")
-            individual.fitness = 50.0
-            individual.flops = 1
-            return individual
+        def build(factory, n_workers, **kwargs):
+            pools.append(ProcessWorkerPool(EvalSpec(factory=factory), n_workers, **kwargs))
+            return pools[-1]
+
+        yield build
+        for pool in pools:
+            pool.close()
 
     @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_generation_settles_before_raising(self, rng, n_workers):
-        pool = FifoWorkerPool(self.NthFails({0}), n_workers=n_workers)
+    def test_generation_settles_before_raising(self, rng, n_workers, pool_for):
+        pool = pool_for(fails_first, n_workers)
         individuals = make_individuals(rng, 5)
         with pytest.raises(RuntimeError, match="boom 0"):
             pool.evaluate_generation(individuals)
-        # jobs after the failure still ran — identical on both paths
+        # jobs after the failure still ran, at any worker count
         assert all(ind.evaluated for ind in individuals[1:])
         assert pool.reports[-1].n_jobs == 5
 
     @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_multiple_errors_raise_exception_group(self, rng, n_workers):
-        pool = FifoWorkerPool(self.NthFails({1, 3}), n_workers=n_workers)
+    def test_multiple_errors_raise_exception_group(self, rng, n_workers, pool_for):
+        pool = pool_for(fails_pair, n_workers)
         individuals = make_individuals(rng, 5)
         with pytest.raises(ExceptionGroup) as excinfo:
             pool.evaluate_generation(individuals)
@@ -281,10 +311,8 @@ class TestPoolFailureSemantics:
         assert messages == ["boom 1", "boom 3"]
 
     @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_policy_quarantines_instead_of_raising(self, rng, n_workers):
-        pool = FifoWorkerPool(
-            self.NthFails({2}), n_workers=n_workers, policy=FaultPolicy(max_retries=1)
-        )
+    def test_policy_quarantines_instead_of_raising(self, rng, n_workers, pool_for):
+        pool = pool_for(fails_middle, n_workers, policy=FaultPolicy(max_retries=1))
         individuals = make_individuals(rng, 5)
         pool.evaluate_generation(individuals)  # does not raise
         assert individuals[2].quarantined

@@ -7,7 +7,6 @@ from repro.analysis import CommonsQuery, pareto_frontier, termination_histogram
 from repro.core.engine import EngineConfig
 from repro.lineage import DataCommons, ProvenanceGraph
 from repro.nas import NSGANetConfig
-from repro.scheduler import FifoWorkerPool
 from repro.workflow import WorkflowConfig, run_comparison, run_workflow
 from repro.xfel import BeamIntensity, DatasetConfig
 
@@ -108,20 +107,32 @@ class TestRealModeIntegration:
 
 
 class TestWorkerPoolIntegration:
-    def test_parallel_generation_matches_serial(self, tiny_dataset):
+    def test_parallel_generation_matches_serial(self):
         from repro.core.engine import PredictionEngine
         from repro.nas import Individual, SurrogateEvaluator, random_genome
+        from repro.scheduler import EvalSpec, ProcessWorkerPool
         from repro.utils.rng import RngStream
 
-        def build(n):
-            evaluator = SurrogateEvaluator(
-                BeamIntensity.MEDIUM,
-                PredictionEngine(),
-                rng_stream=RngStream(4),
-            )
+        def individuals():
             rng = np.random.default_rng(0)
-            individuals = [Individual(random_genome(rng), i, 0) for i in range(6)]
-            FifoWorkerPool(evaluator, n_workers=n).evaluate_generation(individuals)
-            return [(m.fitness, m.flops) for m in individuals]
+            return [Individual(random_genome(rng), i, 0) for i in range(6)]
 
-        assert build(1) == build(3)
+        serial = individuals()
+        evaluator = SurrogateEvaluator(
+            BeamIntensity.MEDIUM,
+            PredictionEngine(),
+            rng_stream=RngStream(4).child("eval"),
+        )
+        for individual in serial:
+            evaluator.evaluate(individual)
+        parallel = individuals()
+        pool = ProcessWorkerPool(
+            EvalSpec(seed=4, engine=EngineConfig(), rng_keying="model"), n_workers=3
+        )
+        try:
+            pool.evaluate_generation(parallel)
+        finally:
+            pool.close()
+        assert [(m.fitness, m.flops) for m in parallel] == [
+            (m.fitness, m.flops) for m in serial
+        ]

@@ -362,19 +362,6 @@ class TestSteadySearch:
         result = self._search().run()
         assert [m.generation for m in result.archive] == [0] * 4 + [1] * 4 + [2] * 4
 
-    def test_thread_stream_matches_inline(self):
-        from repro.scheduler.pool import FifoWorkerPool
-
-        baseline = self._key(self._search().run())
-        for n_workers in (1, 2, 4):
-            search = self._search(
-                stream=lambda ev, n=n_workers: FifoWorkerPool(ev, n_workers=n)
-            )
-            assert self._key(search.run()) == baseline
-            report = search.stream.reports[-1]
-            assert report.n_jobs == 12
-            assert len(search.stream.reports) == 1
-
     def test_resume_matches_uninterrupted(self):
         from repro.nas.search import SearchState
         from repro.nas.population import Population

@@ -5,7 +5,7 @@ bit-identical fitness values and lineage records to the serial path on a
 seeded mini search (eval cache on and off), hung candidates are
 hard-killed within the policy timeout with the worker respawned, no
 worker processes leak past ``close()``, and submission order stays FIFO
-under randomized per-job delays on both the thread and process pools.
+under randomized per-job delays.
 
 The ``EvalSpec.factory`` hook keeps the direct-pool tests cheap: a
 module-level zero-argument factory (picklable across the ``spawn``
@@ -24,13 +24,13 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.nas import Individual, random_genome
 from repro.nas.evalcache import EvaluationCache, MemoizingEvaluator
-from repro.nas.search import NSGANetConfig
+from repro.nas.search import EvalStream, NSGANetConfig
 from repro.scheduler.faults import (
     FaultInjectionConfig,
     FaultPolicy,
     FaultTolerantEvaluator,
 )
-from repro.scheduler.pool import FifoWorkerPool, JobTiming, PoolReport, WorkerPool
+from repro.scheduler.pool import JobTiming, PoolReport
 from repro.scheduler.procpool import EvalResult, EvalSpec, EvalTask, ProcessWorkerPool
 from repro.scheduler.trace import pool_chrome_trace, pool_timeline
 from repro.utils.validation import ValidationError
@@ -166,9 +166,12 @@ class TestSharedMemory:
 
 class TestProcessPoolDirect:
     def test_satisfies_worker_pool_protocol(self):
+        # what the orchestrator requires of the pool: the barrier entry
+        # point, the steady-state stream seam, reports, and close()
         pool = make_pool(delay_factory)
-        assert isinstance(pool, WorkerPool)
-        assert isinstance(FifoWorkerPool(ScriptedEvaluator()), WorkerPool)
+        assert isinstance(pool, EvalStream)
+        assert callable(pool.evaluate_generation) and callable(pool.close)
+        assert pool.n_workers == 2 and pool.reports == []
         pool.close()
 
     def test_generation_evaluates_all_and_reports_fifo(self, rng):
@@ -284,8 +287,8 @@ class TestHardKill:
         assert pool.alive_workers() == 0
 
     def test_thread_path_timeout_leaks_by_contrast(self, rng):
-        # the serial/thread backends cannot kill a thread: the same
-        # timeout decision carries timeout_leaked=True and the shadow
+        # the serial backend cannot kill a thread: the same timeout
+        # decision carries timeout_leaked=True and the shadow
         # thread shows up in the leak accounting until it drains
         wrapped = FaultTolerantEvaluator(
             _ShortHang(), FaultPolicy(max_retries=0, timeout_seconds=0.05)
@@ -308,19 +311,6 @@ class _ShortHang:
         individual.fitness = 1.0
         individual.flops = 1
         return individual
-
-
-class TestFifoOrderThreadBackend:
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_randomized_delays_preserve_submission_order(self, rng, n_workers):
-        pool = FifoWorkerPool(ScriptedEvaluator(delay_scale=0.01), n_workers=n_workers)
-        individuals = make_individuals(rng, 8)
-        pool.evaluate_generation(individuals)
-        [report] = pool.reports
-        assert report.backend == "thread"
-        assert [j.job_id for j in report.jobs] == [i.model_id for i in individuals]
-        starts = [j.start_seconds for j in report.jobs]
-        assert starts == sorted(starts)
 
 
 def surrogate_config(backend, n_workers=1, eval_cache=True, seed=7, **kwargs):
@@ -387,7 +377,7 @@ class TestBackendParitySurrogate:
             p for p in mp.active_children() if p.name.startswith("a4nn-eval-worker")
         ]
         assert [r.backend for r in process.pool_reports] == ["process"] * 2
-        assert [r.backend for r in serial.pool_reports] == ["serial"] * 2
+        assert serial.pool_reports == []  # the search's own loop: no pool
 
     def test_fault_injection_parity(self):
         def faulty(backend, n_workers):
@@ -505,13 +495,24 @@ class TestWorkflowConfigBackend:
         with pytest.raises(ValidationError, match="checkpoint"):
             WorkflowConfig(backend="process", checkpoint_models=True)
 
-    def test_backend_roundtrips_and_defaults_to_thread(self):
+    def test_n_workers_needs_process_backend(self):
+        with pytest.raises(ValidationError, match="--backend process"):
+            WorkflowConfig(n_workers=2)
+
+    def test_backend_roundtrips_and_defaults_to_serial(self):
+        assert WorkflowConfig().backend == "serial"
         config = WorkflowConfig(backend="process", n_workers=4)
         restored = WorkflowConfig.from_dict(config.to_dict())
         assert restored.backend == "process" and restored.n_workers == 4
+        # legacy documents: an explicit or defaulted "thread" backend
+        # replays on the serial loop with one worker
         payload = config.to_dict()
+        payload["backend"] = "thread"
+        legacy = WorkflowConfig.from_dict(payload)
+        assert (legacy.backend, legacy.n_workers) == ("serial", 1)
         del payload["backend"]
-        assert WorkflowConfig.from_dict(payload).backend == "thread"
+        legacy = WorkflowConfig.from_dict(payload)
+        assert (legacy.backend, legacy.n_workers) == ("serial", 1)
 
 
 class TestPoolTraceRendering:
@@ -563,41 +564,25 @@ class TestPoolTraceRendering:
 class TestStreamingSeam:
     """The submit/settled/finish seam steady-state evolution runs on."""
 
-    def test_thread_stream_settles_all_and_reports_once(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(delay_scale=0.005), n_workers=2)
-        individuals = make_individuals(rng, 5)
-        for ind in individuals:
-            pool.submit(ind)
-        settled = [pool.settled() for _ in range(5)]
-        assert sorted(ind.model_id for ind in settled) == list(range(5))
-        assert all(ind.fitness == 50.0 + ind.model_id for ind in settled)
-        report = pool.finish()
-        assert report.n_jobs == 5
-        assert report.backend == "thread"
-        assert pool.reports == [report]
-        assert pool.finish() is None  # idempotent once drained
-        pool.close()
-
-    def test_thread_stream_serial_backend_label(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=1)
-        pool.submit(make_individuals(rng, 1)[0])
-        pool.settled()
-        assert pool.finish().backend == "serial"
-
     def test_settled_without_submissions_raises(self):
-        pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=2)
-        with pytest.raises(RuntimeError, match="no evaluations in flight"):
-            pool.settled()
+        pool = make_pool(delay_factory, n_workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="no evaluations in flight"):
+                pool.settled()
+        finally:
+            pool.close()
 
     def test_stream_error_propagates_at_settle(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(fail_ids=(0,)), n_workers=1)
-        pool.submit(make_individuals(rng, 1)[0])
-        with pytest.raises(RuntimeError, match="boom 0"):
-            pool.settled()
-        pool.close()
+        pool = make_pool(flaky_single_factory, n_workers=1)
+        try:
+            pool.submit(make_individuals(rng, 1, first_id=2)[0])
+            with pytest.raises(RuntimeError, match="boom 2"):
+                pool.settled()
+        finally:
+            pool.close()
 
     def test_close_flushes_open_stream_report(self, rng):
-        pool = FifoWorkerPool(ScriptedEvaluator(), n_workers=2)
+        pool = make_pool(delay_factory, n_workers=2)
         pool.submit(make_individuals(rng, 1)[0])
         pool.settled()
         pool.close()  # stream never finished explicitly
@@ -640,7 +625,7 @@ class TestIdleWorkerAccounting:
             n_workers=3,
             wall_seconds=10.0,
             n_jobs=2,
-            backend="thread",
+            backend="process",
             jobs=(JobTiming(0, 0, 0.0, 4.0), JobTiming(1, 0, 4.0, 8.0)),
             worker_busy_seconds=(8.0, 0.0, 0.0),
         )
@@ -689,7 +674,7 @@ class TestScalingReport:
             entries=[self._entry("serial", 1), self._entry("process", 2)],
         )
         assert report.consistent()
-        report.entries.append(self._entry("thread", 2, best=50.0))
+        report.entries.append(self._entry("process", 4, best=50.0))
         assert not report.consistent()
         assert "DETERMINISM BROKEN" in report.summary()
 
@@ -714,9 +699,9 @@ class TestScalingReport:
             host_cpus=1,
             entries=[
                 self._entry("serial", 1),
-                self._entry("thread", 2),
+                self._entry("process", 2),
                 dict(self._entry("serial", 1, best=77.0), evolution="steady"),
-                dict(self._entry("thread", 4, best=77.0), evolution="steady"),
+                dict(self._entry("process", 2, best=77.0), evolution="steady"),
             ],
         )
         assert report.consistent()
@@ -730,7 +715,7 @@ class TestScalingReport:
         from repro.bench.scaling import ScalingReport
 
         entry = dict(
-            self._entry("thread", 4),
+            self._entry("process", 4),
             evolution="steady",
             busy_seconds=3.5,
             idle_seconds=0.5,
@@ -739,7 +724,7 @@ class TestScalingReport:
             final_drain_seconds=0.25,
         )
         text = ScalingReport(seed=21, host_cpus=8, entries=[entry]).summary()
-        assert "thread@4/steady" in text
+        assert "process@4/steady" in text
         assert "mid-run" in text and "drain" in text
 
     def test_compare_is_structural_only(self):

@@ -7,10 +7,11 @@ from repro.core.engine import EngineConfig, PredictionEngine
 from repro.nas import NSGANet, NSGANetConfig, SurrogateEvaluator
 from repro.scheduler import (
     EpochCostModel,
-    FifoWorkerPool,
+    EvalSpec,
     Gpu,
     GpuPool,
     Job,
+    ProcessWorkerPool,
     schedule_generation,
     schedule_run,
     simulate_walltime,
@@ -184,43 +185,62 @@ class TestWallTimeSimulation:
         assert report.total_epochs == search_result.total_epochs_trained
 
 
-class TestFifoWorkerPool:
-    class SleepEvaluator:
-        max_epochs = 1
+class ConstantEvaluator:
+    max_epochs = 1
 
-        def evaluate(self, individual):
-            individual.fitness = 50.0
-            individual.flops = 1
-            return individual
+    def evaluate(self, individual):
+        individual.fitness = 50.0
+        individual.flops = 1
+        return individual
+
+
+class FailingEvaluator:
+    max_epochs = 1
+
+    def evaluate(self, individual):
+        raise RuntimeError("boom")
+
+
+# module-level factories: spawned pool workers rebuild the evaluator
+def constant_factory():
+    return ConstantEvaluator()
+
+
+def failing_factory():
+    return FailingEvaluator()
+
+
+class TestFifoWorkerPool:
+    """:class:`ProcessWorkerPool`, the FIFO worker pool of the process backend."""
 
     def test_serial_and_parallel_complete_all(self, rng):
         from repro.nas import Individual, random_genome
 
         for workers in (1, 3):
-            pool = FifoWorkerPool(self.SleepEvaluator(), n_workers=workers)
+            pool = ProcessWorkerPool(EvalSpec(factory=constant_factory), workers)
             individuals = [
                 Individual(random_genome(rng), i, 0) for i in range(7)
             ]
-            pool.evaluate_generation(individuals)
+            try:
+                pool.evaluate_generation(individuals)
+            finally:
+                pool.close()
             assert all(ind.fitness == 50.0 for ind in individuals)
             assert pool.reports[-1].n_jobs == 7
-            assert pool.total_wall_seconds > 0
+            assert pool.reports[-1].wall_seconds > 0
 
     def test_exceptions_propagate(self, rng):
         from repro.nas import Individual, random_genome
 
-        class FailingEvaluator:
-            max_epochs = 1
-
-            def evaluate(self, individual):
-                raise RuntimeError("boom")
-
-        pool = FifoWorkerPool(FailingEvaluator(), n_workers=2)
-        with pytest.raises(RuntimeError, match="boom"):
-            pool.evaluate_generation(
-                [Individual(random_genome(rng), 0, 0)]
-            )
+        pool = ProcessWorkerPool(EvalSpec(factory=failing_factory), 2)
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                pool.evaluate_generation(
+                    [Individual(random_genome(rng), 0, 0)]
+                )
+        finally:
+            pool.close()
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            FifoWorkerPool(self.SleepEvaluator(), n_workers=0)
+            ProcessWorkerPool(EvalSpec(factory=constant_factory), 0)

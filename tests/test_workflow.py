@@ -168,7 +168,7 @@ class TestParallelExecution:
 
         serial = run_workflow(small_config(seed=2))
         parallel = run_workflow(
-            dataclasses.replace(small_config(seed=2), n_workers=3)
+            dataclasses.replace(small_config(seed=2), backend="process", n_workers=3)
         )
         serial_records = {
             r.model_id: (r.fitness, r.flops, r.epochs_trained)

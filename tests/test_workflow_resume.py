@@ -1,6 +1,7 @@
 """Tests for resuming interrupted searches from the commons."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -23,9 +24,9 @@ def steady_config(seed=31, lag=3):
     )
 
 
-def publish_tick_prefix(tmp_path, *, keep_ticks, seed=31):
+def publish_tick_prefix(tmp_path, *, keep_ticks, seed=31, lag=3):
     """Publish a steady run, then delete all records past a tick prefix."""
-    config = steady_config(seed=seed)
+    config = steady_config(seed=seed, lag=lag)
     result = run_workflow(config, commons_path=tmp_path)
     commons = DataCommons(tmp_path)
     run_id = result.run_id
@@ -267,3 +268,27 @@ class TestResumeSteadyWorkflow:
         resume_workflow(commons, run_id)
         report = verify_run(commons, run_id)
         assert report.matches, report.summary()
+
+    def test_legacy_thread_run_resumes_with_its_lag(self, tmp_path):
+        # thread-backend documents stored the worker count and an
+        # unresolved lag; they replay on the serial loop, which must keep
+        # the lag the live run derived from that worker count
+        commons, run_id, full = publish_tick_prefix(
+            tmp_path, keep_ticks=4, seed=47, lag=2
+        )
+        run_path = commons.root / "runs" / run_id / "run.json"
+        run = json.loads(run_path.read_text())
+        run["workflow_config"].update(backend="thread", n_workers=2)
+        run["workflow_config"]["nas"]["steady_lag"] = None
+        run_path.write_text(json.dumps(run))
+        resumed = resume_workflow(commons, run_id)
+        assert (resumed.config.backend, resumed.config.n_workers) == ("serial", 1)
+        assert resumed.config.nas.steady_lag == 2
+
+        def trail(result):
+            return [
+                (m.model_id, m.logical_tick, m.genome, m.fitness)
+                for m in result.search.archive
+            ]
+
+        assert trail(resumed) == trail(full)
