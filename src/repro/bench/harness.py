@@ -3,17 +3,15 @@
 Two tiers, both fully seeded:
 
 * **Kernel microbenches** — forward+backward of the hot layers (conv,
-  dense, pool) and one full trainer epoch, per compute dtype, each run
-  twice: on the historical allocate-per-call path and on the
-  buffer-arena fast path (:mod:`repro.nn.arena`).  Every entry carries
+  dense, pool) and one full trainer epoch, per compute dtype, on the
+  buffer-arena kernels (:mod:`repro.nn.arena`).  Every entry carries
   the approximate FLOPs per call and the achieved GFLOP/s, so the
   document doubles as a roofline-style before/after record.
 * **End-to-end evaluation path** — the same seeded real-mode mini
   search run twice: once with the *baseline* settings (float64,
-  model-keyed RNG, no cache, no arena — arithmetically identical to
-  the pre-fast-path code) and once with the *fast path* (float32,
-  genome-keyed RNG, evaluation cache, arena kernels).  The headline
-  number is the wall-time ratio.
+  model-keyed RNG, no cache) and once with the *fast path* (float32,
+  genome-keyed RNG, evaluation cache).  The headline number is the
+  wall-time ratio.
 
 All timing goes through :class:`~repro.utils.timing.Stopwatch` (the
 project's only sanctioned wall-clock seam).  Results serialize to the
@@ -58,8 +56,10 @@ _LOG = get_logger("bench")
 #: v2 added per-kernel alloc-vs-arena timings, FLOP rates, and the
 #: ``arena`` flags on the end-to-end runs.  v3 added the ``predictor``
 #: section: the same seeded search with surrogate pre-ranking off vs on
-#: (epochs trained, skip precision/recall, front equality).
-SCHEMA = "a4nn-bench/3"
+#: (epochs trained, skip precision/recall, front equality).  v4 times
+#: one kernel path: the ``alloc``/``arena``/``arena_speedup`` kernel
+#: fields and the end-to-end ``arena`` flags are gone.
+SCHEMA = "a4nn-bench/4"
 
 
 def _timeit(fn, *, repeats: int, warmup: int = 1) -> dict:
@@ -77,17 +77,8 @@ def _timeit(fn, *, repeats: int, warmup: int = 1) -> dict:
     }
 
 
-def _bind(layer_or_network, arena_dtype, use_arena: bool):
-    if use_arena:
-        from repro.nn.arena import BufferArena
-
-        layer_or_network.bind_arena(BufferArena(arena_dtype))
-    return layer_or_network
-
-
-def _conv_bench(dtype, rng: np.random.Generator, repeats: int, use_arena: bool) -> dict:
+def _conv_bench(dtype, rng: np.random.Generator, repeats: int) -> dict:
     layer = Conv2D(8, 16, kernel_size=3, rng=rng, dtype=dtype)
-    _bind(layer, dtype, use_arena)
     x = rng.standard_normal((16, 8, 16, 16)).astype(dtype)
 
     def step() -> None:
@@ -100,9 +91,8 @@ def _conv_bench(dtype, rng: np.random.Generator, repeats: int, use_arena: bool) 
     return timing
 
 
-def _dense_bench(dtype, rng: np.random.Generator, repeats: int, use_arena: bool) -> dict:
+def _dense_bench(dtype, rng: np.random.Generator, repeats: int) -> dict:
     layer = Dense(256, 128, rng=rng, dtype=dtype)
-    _bind(layer, dtype, use_arena)
     x = rng.standard_normal((64, 256)).astype(dtype)
 
     def step() -> None:
@@ -114,9 +104,8 @@ def _dense_bench(dtype, rng: np.random.Generator, repeats: int, use_arena: bool)
     return timing
 
 
-def _pool_bench(dtype, rng: np.random.Generator, repeats: int, use_arena: bool) -> dict:
+def _pool_bench(dtype, rng: np.random.Generator, repeats: int) -> dict:
     layer = MaxPool2D(2)
-    _bind(layer, dtype, use_arena)
     x = rng.standard_normal((16, 16, 16, 16)).astype(dtype)
 
     def step() -> None:
@@ -129,9 +118,7 @@ def _pool_bench(dtype, rng: np.random.Generator, repeats: int, use_arena: bool) 
     return timing
 
 
-def _trainer_epoch_bench(
-    dtype, rng: np.random.Generator, repeats: int, use_arena: bool
-) -> dict:
+def _trainer_epoch_bench(dtype, rng: np.random.Generator, repeats: int) -> dict:
     from repro.nas.decoder import DecoderConfig, decode_genome
     from repro.nas.genome import random_genome
 
@@ -141,7 +128,6 @@ def _trainer_epoch_bench(
         DecoderConfig(input_shape=(1, 16, 16), n_classes=2, dtype=dtype),
         rng=rng,
     )
-    _bind(network, dtype, use_arena)
     n = 48
     x = rng.standard_normal((n, 1, 16, 16)).astype(dtype)
     y = (rng.random(n) < 0.5).astype(np.int64)
@@ -169,14 +155,12 @@ _KERNELS = {
 
 
 def bench_kernels(*, seed: int = 0, repeats: int = 5) -> dict:
-    """Per-dtype alloc-vs-arena kernel timings, plus dtype ratios.
+    """Per-dtype kernel timings, plus dtype ratios.
 
-    For each kernel and dtype the entry records the allocate-per-call
-    timing (``alloc``), the buffer-arena timing (``arena``), the best
-    time across both paths, the approximate FLOPs per call with the
-    achieved GFLOP/s, and the arena-over-alloc speedup.  The
-    ``float64_over_float32`` ratios compare best times; above 1 means
-    float32 is that many times faster.
+    For each kernel and dtype the entry records the best and mean
+    seconds per call, the approximate FLOPs per call and the achieved
+    GFLOP/s.  The ``float64_over_float32`` ratios compare best times;
+    above 1 means float32 is that many times faster.
     """
     results: dict = {}
     for label in SUPPORTED_DTYPES:
@@ -184,20 +168,11 @@ def bench_kernels(*, seed: int = 0, repeats: int = 5) -> dict:
         stream = RngStream(seed).child("bench-kernels")
         per_kernel: dict = {}
         for name, fn in _KERNELS.items():
-            alloc = fn(dtype, stream.generator(name, label, "alloc"), repeats, False)
-            arena = fn(dtype, stream.generator(name, label, "arena"), repeats, True)
-            flops_per_call = alloc.pop("flops_per_call")
-            arena.pop("flops_per_call")
-            best = min(alloc["best_seconds"], arena["best_seconds"])
-            per_kernel[name] = {
-                "alloc": alloc,
-                "arena": arena,
-                "best_seconds": best,
-                "flops_per_call": flops_per_call,
-                "gflops": flops_per_call / max(best, 1e-12) / 1e9,
-                "arena_speedup": alloc["best_seconds"]
-                / max(arena["best_seconds"], 1e-12),
-            }
+            entry = fn(dtype, stream.generator(name, label), repeats)
+            entry["gflops"] = (
+                entry["flops_per_call"] / max(entry["best_seconds"], 1e-12) / 1e9
+            )
+            per_kernel[name] = entry
         results[label] = per_kernel
     results["float64_over_float32"] = {
         name: results["float64"][name]["best_seconds"]
@@ -241,7 +216,6 @@ def _run_evalpath(config: WorkflowConfig) -> dict:
         "dtype": config.dtype,
         "rng_keying": config.rng_keying,
         "eval_cache": config.eval_cache,
-        "arena": config.arena,
         "wall_seconds": clock.total,
         "n_models": len(result.search.archive),
         "cache_hits": sum(g.n_cache_hits for g in result.search.generations),
@@ -260,12 +234,8 @@ def bench_evalpath(*, seed: int = 21) -> dict:
     import dataclasses
 
     config = _bench_workflow_config(seed)
-    # arena=False explicitly: replace() would otherwise carry the fast
-    # path's resolved arena=True into the float64 baseline
     baseline = _run_evalpath(
-        dataclasses.replace(
-            config, dtype="float64", rng_keying="model", eval_cache=False, arena=False
-        )
+        dataclasses.replace(config, dtype="float64", rng_keying="model", eval_cache=False)
     )
     _LOG.info("baseline evalpath: %.2fs", baseline["wall_seconds"])
     fastpath = _run_evalpath(config)
@@ -411,12 +381,9 @@ class BenchReport:
         lines = ["a4nn bench — evaluation fast path"]
         for label in ("float32", "float64"):
             for name, entry in sorted(self.kernels.get(label, {}).items()):
-                if not isinstance(entry, dict) or "arena_speedup" not in entry:
-                    continue
                 lines.append(
                     f"  kernel {name:<18} {label}: best {entry['best_seconds']*1e3:7.3f}ms"
                     f"  {entry['gflops']:6.2f} GFLOP/s"
-                    f"  arena {entry['arena_speedup']:.2f}x"
                 )
         ratios = self.kernels.get("float64_over_float32", {})
         for name, ratio in sorted(ratios.items()):

@@ -97,8 +97,6 @@ def _fastpath_overrides(args: argparse.Namespace) -> dict:
         overrides["rng_keying"] = args.rng_keying
     if args.eval_cache is not None:
         overrides["eval_cache"] = args.eval_cache
-    if args.arena is not None:
-        overrides["arena"] = args.arena
     if args.sanitize_writes:
         overrides["sanitize_writes"] = True
     if args.backend is not None:
@@ -229,14 +227,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="memoize evaluations of duplicate architectures "
         "(on by default for new runs; requires --rng-keying genome)",
-    )
-    parser.add_argument(
-        "--arena",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="train real-mode networks on the buffer-arena kernel fast path "
-        "(default: on for float32, off for float64 — the byte-exact "
-        "replay dtype)",
     )
     parser.add_argument(
         "--backend",

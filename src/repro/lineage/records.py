@@ -78,8 +78,8 @@ class ModelRecord:
     # this model's result entered the population (equal to model_id by
     # construction); None for barrier-mode and historical records
     logical_tick: int | None = None
-    # whether training ran on the buffer-arena kernel fast path, and the
-    # arena's peak scratch footprint for the evaluation (0 = disabled)
+    # whether a network was trained on buffer-arena scratch (false in
+    # surrogate mode and older records), and the arena's peak footprint
     arena_enabled: bool = False
     arena_peak_bytes: int = 0
     # surrogate pre-ranking audit trail: the cross-architecture

@@ -57,8 +57,7 @@ class CacheEntry:
     epoch_seconds: list
     result: object  # TrainingResult of the source evaluation
     epoch_trace: list  # [(epoch, fitness, prediction), ...] for observer replay
-    # arena provenance of the source evaluation; the memo key carries
-    # the arena flag, so hits can only restore a matching configuration
+    # arena provenance of the source evaluation, restored onto hits
     arena_enabled: bool = False
     arena_peak_bytes: int = 0
 

@@ -174,12 +174,6 @@ class TrainingEvaluator:
         Stable identifier of the dataset for memo keys (the workflow
         passes ``DatasetConfig.cache_key()``); defaults to a content
         hash of the arrays.
-    arena:
-        Bind every decoded network to a fresh
-        :class:`~repro.nn.arena.BufferArena` so training runs the
-        allocation-free kernel fast path.  Off by default: the arena
-        GEMMs are equivalent at gradcheck tolerance but not bitwise, so
-        byte-exact float64 replay of historical runs needs it disabled.
     """
 
     def __init__(
@@ -199,7 +193,6 @@ class TrainingEvaluator:
         rng_keying: str = "model",
         dtype=None,
         dataset_key: str | None = None,
-        arena: bool = False,
     ) -> None:
         self.dataset = dataset
         self.engine = engine
@@ -216,7 +209,6 @@ class TrainingEvaluator:
         self.on_fault = on_fault
         self.rng_keying = validate_rng_keying(rng_keying)
         self.dataset_key = dataset_key or _dataset_fingerprint(dataset)
-        self.arena = bool(arena)
         self._flops_cache: dict[str, int] = {}
 
     def _stream_ident(self, individual: Individual):
@@ -269,7 +261,6 @@ class TrainingEvaluator:
             _engine_fingerprint(self.engine),
             self.sanitize,
             retry_salt(individual),
-            self.arena,
             self.sanitize_writes,
             budget,
         )
@@ -298,10 +289,6 @@ class TrainingEvaluator:
             name=f"model-{individual.model_id}",
             canonical=self.rng_keying == "genome",
         )
-        if self.arena:
-            from repro.nn.arena import BufferArena
-
-            network.bind_arena(BufferArena(self.decoder_config.dtype))
         sanitizer = None
         if self.sanitize:
             sanitizer = Sanitizer().watch(network)
@@ -345,8 +332,6 @@ class TrainingEvaluator:
         individual.flops = network_flops(network)
         individual.result = result
         individual.epoch_seconds = [stats.wall_seconds for stats in trainer.history]
-        individual.arena_enabled = self.arena
-        individual.arena_peak_bytes = (
-            network.arena.nbytes if network.arena is not None else 0
-        )
+        individual.arena_enabled = True
+        individual.arena_peak_bytes = network.arena.nbytes
         return individual

@@ -63,11 +63,13 @@ class Individual:
         commits apply in submission order).  ``None`` for barrier-mode
         runs.
     arena_enabled:
-        Whether training ran on the allocation-free buffer-arena fast
-        path (see :mod:`repro.nn.arena`).
+        Whether a network was trained on buffer-arena scratch (see
+        :mod:`repro.nn.arena`): true for every trained real-mode
+        evaluation, false in surrogate mode and in records written
+        before the arena kernels.
     arena_peak_bytes:
         Peak scratch footprint of the network's arena for this
-        evaluation (0 when the arena was disabled).
+        evaluation (0 when nothing was trained).
     predicted_fitness:
         Cross-architecture surrogate prediction made when this candidate
         was bred (``None`` when the surrogate is off or had not yet

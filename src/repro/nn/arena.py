@@ -1,13 +1,12 @@
 """Per-network buffer arena: preallocated scratch reused across batches.
 
-The training hot loop historically allocated every intermediate array
-fresh — im2col column matrices, layer outputs, gradient images,
-optimizer temporaries — dozens of megabyte-scale ``np.zeros``/
-``ascontiguousarray`` calls per batch.  :class:`BufferArena` replaces
-that with keyed, lazily-allocated, shape-stable storage: a layer asks
-for ``(owner, name, shape, dtype)`` and gets the *same* ndarray back on
-every batch, so after the first epoch the training loop reaches a
-steady state with zero new large allocations.
+Every layer forward/backward, the trainer's mini-batch gather and the
+optimizers' temporaries write into keyed, lazily-allocated,
+shape-stable storage: a layer asks for ``(owner, name, shape, dtype)``
+and gets the *same* ndarray back on every batch, so after the first
+epoch the training loop reaches a steady state with zero new large
+allocations.  This is the only kernel path; there is no
+allocate-per-call fallback.
 
 Design rules (see DESIGN "The buffer arena"):
 
@@ -18,16 +17,20 @@ Design rules (see DESIGN "The buffer arena"):
 * **Ownership** — every layer instance binds with a unique owner string
   (the network wires ``"<layer-idx>"``, composite layers extend it with
   sublayer paths), so two layers can never alias each other's scratch.
+  A :class:`~repro.nn.network.Network` creates its arena at
+  construction and binds each layer as it is added; a layer used on
+  its own owns a private arena, so its buffers appear on its first
+  ``_buf`` request.
 * **Lifetime** — a buffer's contents are only guaranteed between the
   owning layer's forward and the matching backward of the *same* batch;
-  the next forward may overwrite everything.
-* **Opt-out** — an unbound layer (``layer.arena is None``) takes the
-  historical allocate-per-call code path, byte-for-byte.  Float64
-  replay of pre-arena runs relies on this.
+  the next forward may overwrite everything.  A caller that keeps an
+  output past the next forward copies it:
+  :meth:`~repro.nn.network.Network.predict` writes every chunk into one
+  array it allocates and returns.
 
 The arena is deliberately not picklable state: it is rebuilt per
-evaluation (the process backend's :class:`~repro.scheduler.procpool.
-EvalSpec` carries only the ``arena`` *flag*, never buffer contents).
+evaluation (the process backend ships an evaluation spec, never buffer
+contents).
 """
 
 from __future__ import annotations

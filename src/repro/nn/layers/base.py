@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.nn.arena import BufferArena
 from repro.nn.dtype import resolve_dtype
 
 __all__ = ["Layer", "Parameter"]
@@ -60,21 +61,20 @@ class Layer:
 
     def __init__(self) -> None:
         self.params: dict[str, Parameter] = {}
-        # optional BufferArena binding (repro.nn.arena): when set, the
-        # layer's forward/backward take the allocation-free fast path;
-        # when None, the historical allocate-per-call code runs
-        # byte-for-byte (float64 replay relies on this)
-        self._arena = None
-        self._arena_owner: str = ""
+        # scratch storage (repro.nn.arena.BufferArena): a standalone
+        # layer owns a private arena; Network.add rebinds it to the
+        # network's shared one under the layer's stack index
+        self._arena = BufferArena()
+        self._arena_owner: str = type(self).__name__
 
     # -- scratch storage -----------------------------------------------------
 
     @property
-    def arena(self):
-        """The bound :class:`~repro.nn.arena.BufferArena`, or ``None``."""
+    def arena(self) -> BufferArena:
+        """The bound :class:`~repro.nn.arena.BufferArena`."""
         return self._arena
 
-    def bind_arena(self, arena, owner: str = "") -> None:
+    def bind_arena(self, arena: BufferArena, owner: str = "") -> None:
         """Attach ``arena`` under a unique ``owner`` key.
 
         Composite layers override this to propagate the binding to their
@@ -83,12 +83,8 @@ class Layer:
         self._arena = arena
         self._arena_owner = owner or type(self).__name__
 
-    def unbind_arena(self) -> None:
-        """Detach the arena; the layer reverts to allocate-per-call."""
-        self._arena = None
-
     def _buf(self, name: str, shape: tuple, dtype=None) -> np.ndarray:
-        """This layer's pinned scratch buffer (fast path only)."""
+        """This layer's pinned scratch buffer, allocated on first request."""
         return self._arena.buffer(self._arena_owner, name, shape, dtype)
 
     # -- computation ---------------------------------------------------------

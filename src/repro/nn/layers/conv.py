@@ -3,27 +3,21 @@
 The im2col transform turns convolution into one large matrix multiply,
 which is the standard way to get BLAS-speed convolutions out of NumPy
 (vectorize the loop, let the optimized GEMM do the work).  Patch
-extraction uses ``sliding_window_view`` so the forward pass allocates no
-per-patch copies beyond the final contiguous column matrix.
+extraction uses ``sliding_window_view``, so the only copy is the one
+into the column matrix.
 
-Two execution paths share the layer:
+The columns are *channel-major*, ``(N, C*k*k, oh*ow)``, and live in the
+layer's pinned arena scratch (:mod:`repro.nn.arena`).  They are written
+in channel blocks, so the working set of the strided transpose-copy
+stays cache-sized.  Every GEMM runs ``np.matmul(..., out=...)`` on
+views:
 
-* **Legacy (no arena)** — the historical allocate-per-call code,
-  byte-for-byte: sample-major columns ``(N, oh*ow, C*k*k)``, fresh
-  ``ascontiguousarray``/``np.zeros`` every batch, ``einsum`` weight
-  gradient.  Float64 replay of pre-arena runs depends on this path
-  staying bit-identical.
-* **Arena fast path** (:meth:`~repro.nn.layers.base.Layer.bind_arena`)
-  — *channel-major* columns ``(N, C*k*k, oh*ow)`` written into pinned
-  scratch in channel blocks (the transpose-copy's working set stays
-  cache-sized), with every GEMM running ``np.matmul(..., out=...)`` on
-  views: the forward product lands directly in NCHW layout (no output
-  transpose), the weight gradient is a batched GEMM against the column
-  transpose-view, and the input gradient scatters from column space
-  without per-call allocation.  Numerically equivalent to the legacy
-  path at gradcheck tolerance (the reshaped GEMMs may accumulate in a
-  different order than the expressions they replace, so equality is
-  close-to-ulp, not bitwise).
+* the forward product lands directly in NCHW layout (no output
+  transpose);
+* the weight gradient is a batched GEMM against the column
+  transpose-view, reduced over the batch;
+* the input gradient goes back to column space and :func:`col2im`
+  scatters it into a pinned image buffer.
 """
 
 from __future__ import annotations
@@ -38,24 +32,42 @@ from repro.utils.rng import fallback_rng
 
 __all__ = ["Conv2D", "im2col", "col2im"]
 
-#: Channel-block width for the arena im2col copy.  Small enough that one
+#: Channel-block width for the im2col copy.  Small enough that one
 #: block's strided transpose fits in cache, and a no-op (single copy)
 #: for the narrow layers the decoder emits.
 _CHANNEL_BLOCK = 16
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Extract sliding patches: ``(N, C, H, W) -> (N, oh*ow, C*kh*kw)``."""
+def _check_out(out: np.ndarray, shape: tuple) -> None:
+    if out.shape != tuple(shape):
+        raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
+
+
+def im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Extract sliding patches: ``(N, C, H, W) -> (N, C*kh*kw, oh*ow)``.
+
+    Channel-major: each channel's ``kh*kw`` taps are contiguous runs of
+    ``ow`` output pixels, so both this copy and the :func:`col2im`
+    scatter stay sequential.  With ``out=`` the columns are written into
+    the caller's buffer instead of a fresh array.
+    """
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    # windows: (N, C, H-kh+1, W-kw+1, kh, kw) — a view, no copy yet
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # one contiguous copy: (N, oh, ow, C, kh, kw) -> (N, oh*ow, C*kh*kw)
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n, oh * ow, c * kh * kw
-    )
+    shape = (n, c * kh * kw, oh * ow)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    else:
+        _check_out(out, shape)
+    cols6 = out.reshape(n, c, kh, kw, oh, ow)
+    # windows: (N, C, oh, ow, kh, kw) — a strided view, no copy yet
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    for c0 in range(0, c, _CHANNEL_BLOCK):
+        c1 = min(c0 + _CHANNEL_BLOCK, c)
+        np.copyto(cols6[:, c0:c1], windows[:, c0:c1].transpose(0, 1, 4, 5, 2, 3))
+    return out
 
 
 def col2im(
@@ -66,28 +78,26 @@ def col2im(
     stride: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scatter-add column gradients back to image layout (im2col adjoint).
+    """Scatter-add channel-major column gradients back to image layout.
 
-    With ``out=`` the scatter accumulates into the caller's buffer
-    (zeroed first) instead of allocating ``np.zeros(x_shape)`` per call;
-    the default signature keeps the allocating behaviour for external
-    callers.
+    The adjoint of :func:`im2col`.  With ``out=`` the scatter
+    accumulates into the caller's buffer (zeroed first) instead of a
+    fresh ``np.zeros(x_shape)``.
     """
     n, c, h, w = x_shape
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    grads = cols.reshape(n, oh, ow, c, kh, kw)
+    grads = cols.reshape(n, c, kh, kw, oh, ow)
     if out is None:
         out = np.zeros(x_shape, dtype=cols.dtype)
     else:
-        if out.shape != tuple(x_shape):
-            raise ValueError(f"out has shape {out.shape}, expected {tuple(x_shape)}")
+        _check_out(out, x_shape)
         out[...] = 0.0
     # kh*kw is tiny (<= 49); vectorize over batch and spatial dims instead.
     for i in range(kh):
         for j in range(kw):
             out[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
-                grads[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                grads[:, :, i, j]
             )
     return out
 
@@ -198,23 +208,6 @@ class Conv2D(Layer):
             )
         n = x.shape[0]
         oh, ow = self._out_hw(x.shape[2], x.shape[3])
-        if self._arena is not None:
-            return self._forward_arena(x, n, oh, ow, training)
-        padded = self._pad(x)
-        cols = im2col(padded, self.kernel_size, self.kernel_size, self.stride)
-        kernel = self.params["weight"].value.reshape(self.out_channels, -1)
-        # (N, oh*ow, C*k*k) @ (C*k*k, out_c) -> (N, oh*ow, out_c)
-        out = cols @ kernel.T
-        if self.use_bias:
-            out += self.params["bias"].value
-        out = out.transpose(0, 2, 1).reshape(n, self.out_channels, oh, ow)
-        self._cache = (cols, padded.shape, x.shape, False) if training else None
-        return out
-
-    def _forward_arena(
-        self, x: np.ndarray, n: int, oh: int, ow: int, training: bool
-    ) -> np.ndarray:
-        """Allocation-free forward: channel-major columns, in-place GEMM."""
         k, s, c = self.kernel_size, self.stride, self.in_channels
         pb, pa = self.pad_before, self.pad_after
         dt = x.dtype
@@ -232,17 +225,7 @@ class Conv2D(Layer):
             # the input IS the column matrix — no copy, no scatter later
             cols = x.reshape(n, c, p)
         else:
-            cols = self._buf("cols", (n, c * k * k, p), dt)
-            # channel-major view (N, C, k, k, oh, ow): each channel's k*k
-            # taps are contiguous runs of ow output pixels, so both the
-            # transpose-copy below and the backward scatter stay sequential
-            cols6 = cols.reshape(n, c, k, k, oh, ow)
-            windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-            for c0 in range(0, c, _CHANNEL_BLOCK):
-                c1 = min(c0 + _CHANNEL_BLOCK, c)
-                np.copyto(
-                    cols6[:, c0:c1], windows[:, c0:c1].transpose(0, 1, 4, 5, 2, 3)
-                )
+            cols = im2col(padded, k, k, s, out=self._buf("cols", (n, c * k * k, p), dt))
         kernel = self.params["weight"].value.reshape(self.out_channels, -1)
         out = self._buf("out", (n, self.out_channels, oh, ow), dt)
         # (out_c, C*k*k) @ (N, C*k*k, oh*ow) -> (N, out_c, oh*ow): the
@@ -250,42 +233,13 @@ class Conv2D(Layer):
         np.matmul(kernel, cols, out=out.reshape(n, self.out_channels, p))
         if self.use_bias:
             out += self.params["bias"].value.reshape(1, -1, 1, 1)
-        self._cache = (cols, padded.shape, x.shape, True) if training else None
+        self._cache = (cols, padded.shape) if training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward")
-        cols, padded_shape, x_shape, arena_cols = self._cache
-        if arena_cols:
-            return self._backward_arena(grad_out, cols, padded_shape)
-        n, _, oh, ow = grad_out.shape
-        # (N, out_c, oh, ow) -> (N, oh*ow, out_c)
-        grad_flat = grad_out.reshape(n, self.out_channels, oh * ow).transpose(0, 2, 1)
-
-        kernel = self.params["weight"].value.reshape(self.out_channels, -1)
-        # dW: sum over batch of grad_flat^T @ cols
-        grad_kernel = np.einsum("npo,npk->ok", grad_flat, cols)
-        self.params["weight"].grad += grad_kernel.reshape(self.params["weight"].shape)
-        if self.use_bias:
-            self.params["bias"].grad += grad_flat.sum(axis=(0, 1))
-
-        grad_cols = grad_flat @ kernel  # (N, oh*ow, C*k*k)
-        grad_padded = col2im(grad_cols, padded_shape, self.kernel_size, self.kernel_size, self.stride)
-        pb, pa = self.pad_before, self.pad_after
-        if pb or pa:
-            return grad_padded[
-                :,
-                :,
-                pb : grad_padded.shape[2] - pa,
-                pb : grad_padded.shape[3] - pa,
-            ]
-        return grad_padded
-
-    def _backward_arena(
-        self, grad_out: np.ndarray, cols: np.ndarray, padded_shape: tuple
-    ) -> np.ndarray:
-        """Allocation-free backward on the channel-major column layout."""
+        cols, padded_shape = self._cache
         k, s, c = self.kernel_size, self.stride, self.in_channels
         n, oc, oh, ow = grad_out.shape
         p = oh * ow
@@ -310,21 +264,15 @@ class Conv2D(Layer):
             db = self._buf("db", (oc,), dt)
             np.sum(g3, axis=(0, 2), out=db)
             self.params["bias"].grad += db
-        # dX: back to column space, then scatter-add (col2im adjoint on
-        # the channel-major layout — no transposes needed)
+        # dX: back to column space, then scatter-add into image space
         gcols = self._buf("gcols", (n, c * k * k, p), dt)
         np.matmul(kernel.T, g3, out=gcols)
         if k == 1 and s == 1 and not (self.pad_before or self.pad_after):
             # 1x1 conv: column space IS image space, nothing to scatter
             return gcols.reshape(n, c, oh, ow)
-        g6 = gcols.reshape(n, c, k, k, oh, ow)
-        grad_padded = self._buf("grad_padded", padded_shape, dt)
-        grad_padded[...] = 0.0
-        for i in range(k):
-            for j in range(k):
-                grad_padded[
-                    :, :, i : i + oh * s : s, j : j + ow * s : s
-                ] += g6[:, :, i, j]
+        grad_padded = col2im(
+            gcols, padded_shape, k, k, s, out=self._buf("grad_padded", padded_shape, dt)
+        )
         pb, pa = self.pad_before, self.pad_after
         if pb or pa:
             return grad_padded[

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.nn.arena import BufferArena
 from repro.nn.layers.base import Layer, Parameter
 
 __all__ = ["Network"]
@@ -38,7 +39,7 @@ class Network:
         input_shape: tuple | None = None,
         name: str = "network",
     ) -> None:
-        self.layers: list[Layer] = list(layers)
+        self.layers: list[Layer] = []
         self.input_shape = tuple(input_shape) if input_shape is not None else None
         self.name = str(name)
         # opt-in numerical watchdog (repro.tooling.sanitizer.Sanitizer);
@@ -47,30 +48,15 @@ class Network:
         # opt-in write guard (repro.tooling.sanitizer.WriteGuard): flips
         # borrowed inter-layer tensors read-only around layer calls
         self.write_guard = None
-        # opt-in scratch storage (repro.nn.arena.BufferArena); None keeps
-        # every layer on the historical allocate-per-call path
-        self.arena = None
+        # scratch storage shared by every layer (repro.nn.arena)
+        self.arena = BufferArena()
+        for layer in layers:
+            self.add(layer)
 
     def add(self, layer: Layer) -> "Network":
-        """Append a layer; returns self for chaining."""
+        """Append a layer and bind it to the network's arena; returns self."""
         self.layers.append(layer)
-        if self.arena is not None:
-            layer.bind_arena(self.arena, owner=str(len(self.layers) - 1))
-        return self
-
-    def bind_arena(self, arena) -> "Network":
-        """Route every layer's scratch through ``arena`` (fast path).
-
-        Each layer binds under its stack index as the owner key, so no
-        two layers can alias each other's buffers.  Pass ``None`` to
-        unbind and restore allocate-per-call behaviour.
-        """
-        self.arena = arena
-        for idx, layer in enumerate(self.layers):
-            if arena is None:
-                layer.unbind_arena()
-            else:
-                layer.bind_arena(arena, owner=str(idx))
+        layer.bind_arena(self.arena, owner=str(len(self.layers) - 1))
         return self
 
     # -- computation ---------------------------------------------------------
@@ -108,12 +94,18 @@ class Network:
         return grad
 
     def predict(self, x: np.ndarray, *, batch_size: int = 256) -> np.ndarray:
-        """Inference in eval mode, batched to bound peak memory."""
-        outputs = [
-            self.forward(x[i : i + batch_size], training=False)
-            for i in range(0, len(x), batch_size)
-        ]
-        return np.concatenate(outputs, axis=0)
+        """Inference in eval mode, batched to bound peak memory.
+
+        Each chunk's forward output is the head layer's arena buffer,
+        which the next chunk overwrites, so every chunk is copied into
+        one output array that the caller owns.
+        """
+        first = self.forward(x[:batch_size], training=False)
+        out = np.empty((len(x),) + first.shape[1:], dtype=first.dtype)
+        out[: len(first)] = first
+        for i in range(batch_size, len(x), batch_size):
+            out[i : i + batch_size] = self.forward(x[i : i + batch_size], training=False)
+        return out
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)

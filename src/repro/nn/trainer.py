@@ -107,17 +107,13 @@ class Trainer:
         return len(self.history)
 
     def _gather_batch(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize one shuffled mini-batch.
+        """Materialize one shuffled mini-batch into the network's arena.
 
-        With the network bound to a :class:`~repro.nn.arena.BufferArena`
-        the gather runs ``np.take(..., out=...)`` into pinned buffers
-        (the ragged last batch keys its own buffer by shape); unbound,
-        it is the historical allocating fancy index.  The gathered
-        values are identical either way, so training math is unaffected.
+        ``np.take(..., out=...)`` writes into pinned buffers (the ragged
+        last batch keys its own buffer by shape), so the gather
+        allocates nothing after the first epoch.
         """
         arena = self.network.arena
-        if arena is None:
-            return self.x_train[batch], self.y_train[batch]
         xb = arena.buffer(
             "trainer", "xb", (len(batch),) + self.x_train.shape[1:], self.x_train.dtype
         )
@@ -166,19 +162,5 @@ class Trainer:
 
     def validate(self) -> float:
         """Validation accuracy in percent — the workflow's fitness."""
-        batch_size = max(self.batch_size, 64)
-        arena = self.network.arena
-        if arena is None:
-            logits = self.network.predict(self.x_val, batch_size=batch_size)
-            return accuracy_percent(logits, self.y_val)
-        # arena inference: each chunk's output lives in the head layer's
-        # pinned buffer, so copy it into a pinned full-split logit table
-        # before the next forward overwrites it
-        n = len(self.x_val)
-        logits = None
-        for i in range(0, n, batch_size):
-            out = self.network.forward(self.x_val[i : i + batch_size], training=False)
-            if logits is None:
-                logits = arena.buffer("trainer", "val_logits", (n,) + out.shape[1:], out.dtype)
-            logits[i : i + out.shape[0]] = out
+        logits = self.network.predict(self.x_val, batch_size=max(self.batch_size, 64))
         return accuracy_percent(logits, self.y_val)

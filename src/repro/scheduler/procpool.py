@@ -95,9 +95,6 @@ class EvalSpec:
     batch_size: int = 16
     learning_rate: float = 1e-3
     injection: FaultInjectionConfig | None = None
-    # buffer-arena kernel fast path (repro.nn.arena) — a flag only: each
-    # worker builds its own per-network BufferArena, nothing is pickled
-    arena: bool = False
     factory: object = None
 
 
@@ -191,7 +188,6 @@ class _WorkerRuntime:
                 rng_keying=spec.rng_keying,
                 dtype=spec.dtype,
                 dataset_key=spec.dataset_key,
-                arena=spec.arena,
             )
         else:
             evaluator = SurrogateEvaluator(

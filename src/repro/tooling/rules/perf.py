@@ -33,10 +33,7 @@ the pre-fast-path losses module defeated float32 training:
   ``for``/``while`` loop bodies.  A loop-carried allocation runs once
   per batch or per node for every epoch of every candidate network —
   the buffer arena (:mod:`repro.nn.arena`) exists precisely so this
-  scratch is requested once and reused.  The legacy allocate-per-call
-  paths that float64 replay depends on are kept byte-exact and carry
-  justified ``a4nn: noqa(PERF003)`` suppressions instead of being
-  rewritten.
+  scratch is requested once and reused.
 """
 
 from __future__ import annotations
@@ -271,7 +268,7 @@ class LoopAllocationRule(BaseRule):
         "...) or `.copy()`/`.astype()` calls inside `for`/`while` loop bodies of the "
         "training hot loop (`nn/layers/`, `nn/trainer.py`, `nn/optimizers.py`, "
         "`nas/decoder.py`) — request pinned scratch from the buffer arena once and "
-        "reuse it; byte-exact legacy paths justify with `a4nn: noqa(PERF003)`"
+        "reuse it"
     )
     description = (
         "loop-carried array allocation in training hot-loop code; use a "

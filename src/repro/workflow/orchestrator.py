@@ -155,7 +155,6 @@ class A4NNOrchestrator:
                 rng_keying=self.config.rng_keying,
                 dtype=self.config.dtype,
                 dataset_key=self.config.dataset.cache_key(),
-                arena=self.config.arena,
             )
         else:
             base = SurrogateEvaluator(
@@ -230,7 +229,6 @@ class A4NNOrchestrator:
             rng_keying=config.rng_keying,
             dtype=config.dtype,
             injection=config.fault_injection,
-            arena=config.arena,
         )
         arena = None
         if config.mode == "real":

@@ -1,16 +1,13 @@
-"""The buffer-arena kernel fast path (repro.nn.arena).
+"""The buffer-arena kernels (repro.nn.arena) — the only kernel path.
 
 Three families of guarantees:
 
-* **Byte-exact layers** — dense, pooling, activations, batch norm, and
-  both optimizers produce bit-identical results with and without a
-  bound arena (their arena rewrites decompose the very same expression
-  trees with ``out=``).
-* **Tolerance-equivalent conv / networks** — the arena conv runs its
-  GEMMs on a different (channel-major) layout, so accumulation order
-  differs; gradients are compared after normalizing by the *global*
-  gradient scale (a conv bias feeding a BatchNorm has a mathematically
-  zero gradient, so per-parameter relative error is meaningless there).
+* **Byte-exact layers** — dense, pooling, activations and batch norm
+  running on pinned scratch match their plain NumPy expressions bit for
+  bit (the scratch versions decompose the very same expression trees
+  with ``out=``); the optimizers step deterministically.
+* **Conv gradients** — the channel-major im2col conv passes gradcheck
+  in both dtypes.
 * **Steady state** — after the first epoch the arena stops growing, and
   repeated epochs allocate no new large arrays.
 """
@@ -19,10 +16,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nas.decoder import DecoderConfig, decode_genome
 from repro.nas.genome import random_genome
-from repro.nn.arena import BufferArena
 from repro.nn.dtype import resolve_dtype
 from repro.nn.layers import (
     AvgPool2D,
@@ -37,20 +34,13 @@ from repro.nn.layers import (
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.trainer import Trainer
+from repro.utils.io import atomic_write_json, read_json
 from tests.test_nn_gradcheck import DTYPE_GRADCHECK, assert_gradients_match
 
 
-def _pair(factory, dtype):
-    """Identical twin layers, the second arena-bound."""
-    legacy = factory(np.random.default_rng(11), dtype)
-    arena = factory(np.random.default_rng(11), dtype)
-    arena.bind_arena(BufferArena(dtype), owner="t")
-    return legacy, arena
-
-
 def _roundtrip(layer, x, g):
-    out = layer.forward(x, training=True)
-    grad_in = layer.backward(g)
+    out = layer.forward(x, training=True).copy()
+    grad_in = layer.backward(g).copy()
     return out, grad_in
 
 
@@ -75,7 +65,6 @@ class TestConvArenaGradcheck:
             rng=rng,
             dtype=dtype,
         )
-        layer.bind_arena(BufferArena(dtype), owner="conv")
         x = rng.normal(size=(2, 3, 6, 6)).astype(dtype)
         assert_gradients_match(layer, x, rng, **DTYPE_GRADCHECK[label])
 
@@ -83,68 +72,108 @@ class TestConvArenaGradcheck:
 # -- byte-exact layer equivalence -----------------------------------------------
 
 
+def _window_view(x, k):
+    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::k, ::k]
+
+
 class TestByteExactLayers:
     @pytest.mark.parametrize("label", ["float32", "float64"])
     def test_dense(self, label):
         dtype = resolve_dtype(label)
-        legacy, arena = _pair(
-            lambda r, d: Dense(12, 7, rng=r, dtype=d), dtype
-        )
+        layer = Dense(12, 7, rng=np.random.default_rng(11), dtype=dtype)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 12)).astype(dtype)
         g = rng.normal(size=(5, 7)).astype(dtype)
-        (oa, ga), (ob, gb) = _roundtrip(legacy, x, g), _roundtrip(arena, x, g.copy())
-        np.testing.assert_array_equal(oa, ob)
-        np.testing.assert_array_equal(ga, gb)
-        for name in legacy.params:
-            np.testing.assert_array_equal(
-                legacy.params[name].grad, arena.params[name].grad
-            )
+        weight, bias = layer.params["weight"].value, layer.params["bias"].value
+        out, grad_in = _roundtrip(layer, x, g)
+        np.testing.assert_array_equal(out, x @ weight + bias)
+        np.testing.assert_array_equal(grad_in, g @ weight.T)
+        np.testing.assert_array_equal(layer.params["weight"].grad, x.T @ g)
+        np.testing.assert_array_equal(layer.params["bias"].grad, g.sum(axis=0))
 
     @pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
     def test_pooling(self, pool_cls):
-        legacy, arena = _pair(lambda r, d: pool_cls(2), np.float32)
+        layer = pool_cls(2)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        oa = legacy.forward(x, training=True)
-        ob = arena.forward(x, training=True)
-        g = rng.normal(size=oa.shape).astype(np.float32)
-        np.testing.assert_array_equal(oa, ob)
-        np.testing.assert_array_equal(legacy.backward(g), arena.backward(g.copy()))
+        windows = _window_view(x, 2)
+        n, c, oh, ow = windows.shape[:4]
+        g = rng.normal(size=(n, c, oh, ow)).astype(np.float32)
+        out, grad_in = _roundtrip(layer, x, g)
+        expected_grad = np.zeros_like(x)
+        if pool_cls is MaxPool2D:
+            flat = windows.reshape(n, c, oh, ow, 4)
+            expected_out = flat.max(axis=-1)
+            argmax = flat.argmax(axis=-1)
+            for i in range(2):
+                for j in range(2):
+                    expected_grad[:, :, i::2, j::2] = np.where(
+                        argmax == 2 * i + j, g, 0.0
+                    )
+        else:
+            expected_out = windows.mean(axis=(-2, -1))
+            for i in range(2):
+                for j in range(2):
+                    expected_grad[:, :, i::2, j::2] += g / 4
+        np.testing.assert_array_equal(out, expected_out)
+        np.testing.assert_array_equal(grad_in, expected_grad)
 
     @pytest.mark.parametrize("act_cls", [ReLU, LeakyReLU])
     def test_activations(self, act_cls):
-        legacy, arena = _pair(lambda r, d: act_cls(), np.float32)
+        layer = act_cls()
         rng = np.random.default_rng(4)
-        # include exact zeros and negative zeros: the arena ReLU must
-        # reproduce x * mask byte-for-byte even at sign-of-zero level
+        # include exact zeros and negative zeros: the scratch ReLU must
+        # reproduce np.where byte-for-byte even at sign-of-zero level
         x = rng.normal(size=(6, 10)).astype(np.float32)
         x.ravel()[:3] = [0.0, -0.0, 1e-38]
         g = rng.normal(size=x.shape).astype(np.float32)
-        (oa, ga), (ob, gb) = _roundtrip(legacy, x, g), _roundtrip(arena, x, g.copy())
-        np.testing.assert_array_equal(oa, ob)
-        np.testing.assert_array_equal(ga, gb)
+        out, grad_in = _roundtrip(layer, x, g)
+        mask = x > 0
+        if act_cls is ReLU:
+            expected_out, expected_grad = np.where(mask, x, 0.0), g * mask
+        else:
+            alpha = layer.alpha
+            expected_out = np.where(mask, x, alpha * x)
+            expected_grad = np.where(mask, g, g * alpha)
+        np.testing.assert_array_equal(out, expected_out.astype(np.float32))
+        np.testing.assert_array_equal(grad_in, expected_grad)
 
     @pytest.mark.parametrize(
         "bn_cls,shape", [(BatchNorm2D, (4, 5, 3, 3)), (BatchNorm1D, (6, 5))]
     )
     def test_batchnorm_training_eval_and_running_stats(self, bn_cls, shape):
-        legacy, arena = _pair(lambda r, d: bn_cls(5, dtype=d), np.float32)
+        layer = bn_cls(5, dtype=np.float32)
+        axes = layer._axes
+        bshape = [1] * len(shape)
+        bshape[1] = 5
+        gamma = layer.params["gamma"].value.reshape(bshape)
+        beta = layer.params["beta"].value.reshape(bshape)
+        running_mean, running_var = layer.running_mean, layer.running_var
         rng = np.random.default_rng(6)
         for _ in range(3):
             x = rng.normal(size=shape).astype(np.float32)
             g = rng.normal(size=shape).astype(np.float32)
-            (oa, ga), (ob, gb) = (
-                _roundtrip(legacy, x, g),
-                _roundtrip(arena, x, g.copy()),
+            out, grad_in = _roundtrip(layer, x, g)
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+            running_mean = 0.9 * running_mean + (1 - 0.9) * mean
+            running_var = 0.9 * running_var + (1 - 0.9) * var
+            inv = (1.0 / np.sqrt(var + layer.eps)).reshape(bshape)
+            x_hat = (x - mean.reshape(bshape)) * inv
+            np.testing.assert_array_equal(out, gamma * x_hat + beta)
+            m = g.size // 5
+            gg = g * gamma
+            sum_g = gg.sum(axis=axes).reshape(bshape)
+            sum_gx = (gg * x_hat).sum(axis=axes).reshape(bshape)
+            np.testing.assert_array_equal(
+                grad_in, (inv / m) * (m * gg - sum_g - x_hat * sum_gx)
             )
-            np.testing.assert_array_equal(oa, ob)
-            np.testing.assert_array_equal(ga, gb)
-        np.testing.assert_array_equal(legacy.running_mean, arena.running_mean)
-        np.testing.assert_array_equal(legacy.running_var, arena.running_var)
+        np.testing.assert_array_equal(layer.running_mean, running_mean)
+        np.testing.assert_array_equal(layer.running_var, running_var)
         x = rng.normal(size=shape).astype(np.float32)
+        inv = (1.0 / np.sqrt(running_var + layer.eps)).reshape(bshape)
+        x_hat = (x - running_mean.reshape(bshape)) * inv
         np.testing.assert_array_equal(
-            legacy.forward(x, training=False), arena.forward(x, training=False)
+            layer.forward(x, training=False), gamma * x_hat + beta
         )
 
 
@@ -187,75 +216,21 @@ def test_optimizer_steps_bitwise_equal(label, opt_factory):
         np.testing.assert_array_equal(pa.value, pb.value, err_msg=name)
 
 
-# -- conv + whole-network tolerance equivalence ---------------------------------
-
-
-def _build_network(dtype, arena: bool):
+def _build_network(dtype):
     rng = np.random.default_rng(13)
     genome = random_genome(rng, n_phases=2, nodes_per_phase=2, density=0.7)
-    network = decode_genome(
+    return decode_genome(
         genome,
         DecoderConfig(input_shape=(1, 12, 12), n_classes=3, channels=(8, 16), dtype=dtype),
         rng=rng,
     )
-    if arena:
-        network.bind_arena(BufferArena(dtype))
-    return network
-
-
-def test_network_forward_backward_equivalent_at_tolerance():
-    net_a = _build_network(np.float64, arena=False)
-    net_b = _build_network(np.float64, arena=True)
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(4, 1, 12, 12))
-    out_a = net_a.forward(x, training=True)
-    out_b = net_b.forward(x, training=True)
-    np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-12)
-    g = rng.normal(size=out_a.shape)
-    gx_a = net_a.backward(g)
-    gx_b = net_b.backward(g.copy())
-    np.testing.assert_allclose(gx_a, gx_b, rtol=0, atol=1e-10)
-    # normalize by the global gradient scale: a conv bias feeding a
-    # BatchNorm has an exactly-zero true gradient (BN removes constant
-    # channel shifts), so per-parameter relative error is pure noise
-    grads_a = [p.grad for _, p in net_a.parameters()]
-    scale = max(float(np.abs(g).max()) for g in grads_a) or 1.0
-    for (name, pa), (_, pb) in zip(net_a.parameters(), net_b.parameters()):
-        worst = float(np.abs(pa.grad - pb.grad).max()) / scale
-        assert worst < 1e-10, f"{name}: normalized grad diff {worst}"
-
-
-def test_trainer_histories_track_between_arena_and_legacy():
-    def run(arena: bool):
-        net = _build_network(np.float64, arena=arena)
-        rng = np.random.default_rng(15)
-        n = 20
-        x = rng.normal(size=(n, 1, 12, 12))
-        y = (rng.random(n) * 3).astype(np.int64)
-        trainer = Trainer(
-            net,
-            x,
-            y,
-            x[:8],
-            y[:8],
-            optimizer=Adam(net, 1e-3),
-            batch_size=8,
-            rng=np.random.default_rng(16),
-        )
-        stats = [trainer.train() for _ in range(3)]
-        return [s.train_loss for s in stats], trainer.validate()
-
-    losses_a, acc_a = run(False)
-    losses_b, acc_b = run(True)
-    np.testing.assert_allclose(losses_a, losses_b, rtol=1e-9)
-    assert acc_a == acc_b
 
 
 # -- steady state ----------------------------------------------------------------
 
 
 def test_arena_reaches_steady_state_and_tracks_peak_bytes():
-    net = _build_network(np.float32, arena=True)
+    net = _build_network(np.float32)
     rng = np.random.default_rng(17)
     n = 20  # ragged last batch: 20 = 2*8 + 4 exercises per-shape keying
     x = rng.normal(size=(n, 1, 12, 12)).astype(np.float32)
@@ -304,21 +279,6 @@ def test_col2im_out_matches_allocating_call():
         col2im(gcols, x.shape, 3, 3, 2, out=np.empty((1, 1)))
 
 
-# -- unbound layers keep allocating (opt-out) ------------------------------------
-
-
-def test_unbind_restores_legacy_path():
-    dtype = np.float64
-    layer = Conv2D(2, 3, kernel_size=3, rng=np.random.default_rng(20), dtype=dtype)
-    x = np.random.default_rng(21).normal(size=(2, 2, 5, 5))
-    baseline = layer.forward(x, training=False)
-    layer.bind_arena(BufferArena(dtype), owner="c")
-    layer.forward(x, training=False)
-    layer.unbind_arena()
-    assert layer.arena is None
-    np.testing.assert_array_equal(layer.forward(x, training=False), baseline)
-
-
 # -- MaxPool vectorized backward vs a loop reference ------------------------------
 
 
@@ -350,56 +310,7 @@ def test_maxpool_backward_matches_loop_reference(pool, stride):
     np.testing.assert_array_equal(grad, expected)
 
 
-# -- workflow wiring: config resolution, memo key, lineage fields ----------------
-
-
-def test_workflow_config_arena_resolution_and_roundtrip():
-    from repro.workflow.interfaces import WorkflowConfig
-
-    assert WorkflowConfig().arena is True  # float32 default
-    assert WorkflowConfig(dtype="float64", rng_keying="model", eval_cache=False).arena is False
-    assert WorkflowConfig(arena=False).arena is False
-    assert (
-        WorkflowConfig(
-            dtype="float64", rng_keying="model", eval_cache=False, arena=True
-        ).arena
-        is True
-    )
-    config = WorkflowConfig(arena=True)
-    assert WorkflowConfig.from_dict(config.to_dict()).arena is True
-    # historical run documents predate the fast path: missing key -> off
-    payload = config.to_dict()
-    del payload["arena"]
-    assert WorkflowConfig.from_dict(payload).arena is False
-
-
-def test_memo_key_separates_arena_from_legacy_evaluations():
-    from repro.nas.evaluation import TrainingEvaluator
-    from repro.nas.population import Individual
-
-    rng = np.random.default_rng(24)
-    genome = random_genome(rng, n_phases=1, nodes_per_phase=2, density=1.0)
-    individual = Individual(genome=genome, model_id="m0", generation=0)
-
-    def evaluator(arena):
-        return TrainingEvaluator(
-            dataset=None,
-            engine=None,
-            max_epochs=1,
-            decoder_config=DecoderConfig(input_shape=(1, 8, 8), n_classes=2, channels=(8,)),
-            rng_keying="genome",
-            dataset_key="test-dataset",
-            arena=arena,
-        )
-
-    key_on = evaluator(True).memo_key(individual)
-    key_off = evaluator(False).memo_key(individual)
-    assert key_on is not None and key_off is not None
-    assert key_on != key_off
-    # the keys differ in exactly one component: the arena flag
-    differing = [i for i, (a, b) in enumerate(zip(key_on, key_off)) if a != b]
-    assert len(differing) == 1
-    assert (key_on[differing[0]], key_off[differing[0]]) == (True, False)
+# -- workflow wiring: lineage fields, stored configs -------------------------------
 
 
 def test_individual_arena_fields_reach_model_record():
@@ -422,3 +333,36 @@ def test_individual_arena_fields_reach_model_record():
     stored = tracker.records["m1"]
     assert stored.arena_enabled is True
     assert stored.arena_peak_bytes == 12345
+
+
+def test_stored_arena_key_is_ignored_on_replay(tmp_path):
+    # run documents written before the single kernel path carry an
+    # ``arena`` key; float64 replay ignores it and still verifies
+    from repro.core.engine import EngineConfig
+    from repro.lineage import DataCommons, verify_run
+    from repro.nas.search import NSGANetConfig
+    from repro.workflow import WorkflowConfig, run_workflow
+    from repro.xfel import DatasetConfig
+
+    config = WorkflowConfig(
+        nas=NSGANetConfig(
+            population_size=3, offspring_per_generation=3, generations=1, max_epochs=3
+        ),
+        engine=EngineConfig(e_pred=3, tolerance=1.0),
+        dataset=DatasetConfig(images_per_class=20, image_size=16),
+        mode="real",
+        n_gpus=(1,),
+        seed=26,
+        dtype="float64",
+        rng_keying="model",
+        eval_cache=False,
+    )
+    result = run_workflow(config, commons_path=tmp_path)
+    run_path = tmp_path / "runs" / result.run_id / "run.json"
+    payload = read_json(run_path)
+    assert "arena" not in payload["workflow_config"]
+    payload["workflow_config"]["arena"] = False
+    atomic_write_json(run_path, payload)
+    report = verify_run(DataCommons(tmp_path), result.run_id)
+    assert report.matches, report.summary()
+    assert report.n_models == len(result.search.archive)
